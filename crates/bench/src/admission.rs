@@ -12,7 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_core::{analyze_bounds, analyze_exact_spp, holistic::holistic_schedulable, AnalysisConfig};
+use rta_core::{
+    analyze_exact_spp, bounds_schedulable, holistic::holistic_schedulable, AnalysisConfig,
+};
 use rta_model::jobshop::{generate, ShopConfig, ShopSampler};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::SchedulerKind;
@@ -76,11 +78,11 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
         Method::SppExact => analyze_exact_spp(sys, acfg)
             .map(|r| r.all_schedulable())
             .unwrap_or(false),
-        Method::SpnpApp | Method::FcfsApp => analyze_bounds(sys, acfg)
-            .map(|r| r.all_schedulable())
-            .unwrap_or(false),
-        // Verdict-only driver: same fixed point as `analyze_holistic`, no
-        // report or seed assembly — the sweep only keeps the boolean.
+        // Verdict-only drivers — the sweep only keeps the boolean. The
+        // bounds pass stops at the first hop that settles a miss and
+        // assembles no report; the holistic one reaches the same fixed
+        // point as `analyze_holistic` without the report or seed.
+        Method::SpnpApp | Method::FcfsApp => bounds_schedulable(sys, acfg).unwrap_or(false),
         Method::SppSL => holistic_schedulable(sys, acfg).unwrap_or(false),
     }
 }
@@ -96,6 +98,11 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
 /// `(base, method, sets, master_seed, acfg)` — each seed depends only on
 /// its index, never on which worker ran it, so the result is identical to
 /// the per-seed [`admits`] loop and to [`admission_probability_strided`].
+///
+/// The approximate methods run verdict-only drivers: SPNP/App and
+/// FCFS/App the Theorem 4 bounds pass ([`rta_core::bounds_schedulable`]),
+/// which stops at the first hop that settles a miss, and SPP/S&L the
+/// holistic fixed point without its report.
 pub fn admission_probability(
     base: &ShopConfig,
     method: Method,
@@ -112,8 +119,8 @@ pub fn admission_probability(
 /// thread builds a [`ShopSampler`] once and redraws every set it claims
 /// into that sampler's reusable `TaskSystem` (plus a cloned
 /// [`AnalysisConfig`]), so the per-set cost is the random draws and the
-/// warm, workspace-backed analysis — no per-set Strings, builders, or
-/// shared-state captures.
+/// verdict-only analysis on the thread's analysis workspaces — no per-set
+/// Strings, builders, reports, or shared-state captures.
 ///
 /// Produces exactly the same estimate as [`admission_probability`]: the
 /// sampler is draw-for-draw identical to `generate`

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use rta_bench::admission::{
     admission_probability, admission_probability_batched, admission_probability_strided, Method,
 };
+use rta_bench::figures::fig3_panels;
 use rta_bench::harness::Bench;
 use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
@@ -459,6 +460,18 @@ fn incremental_suite() {
     });
     b.run("admission/1000sets_batched", || {
         admission_probability_batched(&base, Method::SppSL, 1000, 7, &acfg)
+    });
+
+    // The rows above all run the holistic S&L verdict. These two run the
+    // Theorem 4 bounds verdict (`bounds_schedulable`) that dominates the
+    // Figure 3/4 sweep: the Figure 3 two-stage panel (b) at U = 0.5.
+    let mut two_stage = fig3_panels()[1].base.clone();
+    two_stage.utilization = 0.5;
+    b.run("admission/100sets_spnp_app", || {
+        admission_probability(&two_stage, Method::SpnpApp, 100, 7, threads, &acfg)
+    });
+    b.run("admission/100sets_fcfs_app", || {
+        admission_probability(&two_stage, Method::FcfsApp, 100, 7, threads, &acfg)
     });
 
     // With the counting allocator installed, also report heap traffic per

@@ -19,7 +19,7 @@
 
 use crate::error::AnalysisError;
 use crate::policy::{policy_for, PeerInputs};
-use rta_model::{SubjobRef, TaskSystem};
+use rta_model::{JobId, SubjobRef, TaskSystem};
 
 /// Dense index for subjobs within one analysis run.
 #[derive(Debug)]
@@ -64,44 +64,142 @@ impl SubjobIndex {
 
 /// Build the dependency edge list (`from → to` as dense indices).
 pub fn dependency_edges(sys: &TaskSystem, idx: &SubjobIndex) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    for (i, &r) in idx.refs().iter().enumerate() {
-        // Chain edge from the predecessor hop.
-        if r.index > 0 {
-            let pred = SubjobRef {
-                job: r.job,
-                index: r.index - 1,
-            };
-            edges.push((idx.index(pred), i));
-        }
-        let s = sys.subjob(r);
-        match policy_for(sys.processor(s.processor).scheduler).peer_inputs() {
-            PeerInputs::HigherPriorityServices => {
-                for h in sys.higher_priority_peers(r) {
-                    edges.push((idx.index(h), i));
-                }
+    debug_assert_eq!(idx.len(), sys.all_subjobs().count());
+    let mut plan = DensePlan::default();
+    plan.fill_edges(sys);
+    plan.edges
+}
+
+/// Reusable buffers for ordering a system's subjobs on dense indices
+/// (`TaskSystem::all_subjobs` order, the order of [`SubjobIndex`]): the
+/// subjob tables, each node's higher-priority peers, the dependency edges
+/// and the evaluation order. A warm [`DensePlan::plan`] on a same-shaped
+/// system allocates nothing, which is why the bounds and fixpoint
+/// drivers keep one in their workspaces; [`dependency_edges`] and
+/// [`evaluation_order`] run on a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct DensePlan {
+    /// Every subjob, in dense order.
+    pub(crate) refs: Vec<SubjobRef>,
+    /// `job_start[k] + j` is the dense index of subjob `j` of job `k`.
+    pub(crate) job_start: Vec<usize>,
+    /// Flattened strictly-higher-priority peers (in dense order); node
+    /// `i`'s are `hp_flat[hp_start[i]..hp_start[i + 1]]`, empty on
+    /// shared-workload processors.
+    pub(crate) hp_flat: Vec<usize>,
+    pub(crate) hp_start: Vec<usize>,
+    /// Dependency edges `(from, to)`, sorted and deduplicated, so node
+    /// `a`'s successors are `edges[out_start[a]..out_start[a + 1]]`.
+    edges: Vec<(usize, usize)>,
+    out_start: Vec<usize>,
+    indegree: Vec<usize>,
+    /// The evaluation order; doubles as Kahn's FIFO queue.
+    pub(crate) order: Vec<usize>,
+}
+
+impl DensePlan {
+    /// Fill the subjob tables and each node's higher-priority peer list.
+    pub(crate) fn fill_tables(&mut self, sys: &TaskSystem) {
+        self.refs.clear();
+        self.job_start.clear();
+        for (k, job) in sys.jobs().iter().enumerate() {
+            self.job_start.push(self.refs.len());
+            for j in 0..job.subjobs.len() {
+                self.refs.push(SubjobRef {
+                    job: JobId(k),
+                    index: j,
+                });
             }
-            PeerInputs::SharedWorkloads => {
-                // Need every sharing subjob's arrival, i.e. its predecessor's
-                // departure (first hops have primary arrivals — no edge).
-                for o in sys.subjobs_on(s.processor) {
-                    if o != r && o.index > 0 {
-                        let pred = SubjobRef {
-                            job: o.job,
-                            index: o.index - 1,
-                        };
-                        let p = idx.index(pred);
-                        if p != i {
-                            edges.push((p, i));
-                        }
+        }
+        self.hp_flat.clear();
+        self.hp_start.clear();
+        for (i, &r) in self.refs.iter().enumerate() {
+            let s = sys.subjob(r);
+            self.hp_start.push(self.hp_flat.len());
+            let kind = sys.processor(s.processor).scheduler;
+            if policy_for(kind).peer_inputs() == PeerInputs::HigherPriorityServices {
+                let phi = s.priority.expect("priorities must be assigned");
+                for (h, &o) in self.refs.iter().enumerate() {
+                    let os = sys.subjob(o);
+                    if h != i && os.processor == s.processor && os.priority.expect("assigned") < phi
+                    {
+                        self.hp_flat.push(h);
                     }
                 }
             }
         }
+        self.hp_start.push(self.hp_flat.len());
     }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+
+    /// Fill the tables and the edges. A node's inputs are its chain
+    /// predecessor plus, on [`PeerInputs::HigherPriorityServices`]
+    /// processors, its higher-priority peers, or, on
+    /// [`PeerInputs::SharedWorkloads`] processors, every sharing subjob's
+    /// arrival — i.e. that subjob's predecessor hop (first hops have
+    /// primary arrivals, no edge).
+    fn fill_edges(&mut self, sys: &TaskSystem) {
+        self.fill_tables(sys);
+        self.edges.clear();
+        for (i, &r) in self.refs.iter().enumerate() {
+            if r.index > 0 {
+                self.edges.push((i - 1, i));
+            }
+            for &h in &self.hp_flat[self.hp_start[i]..self.hp_start[i + 1]] {
+                self.edges.push((h, i));
+            }
+            let p = sys.subjob(r).processor;
+            if policy_for(sys.processor(p).scheduler).peer_inputs() == PeerInputs::SharedWorkloads {
+                for (o, &or) in self.refs.iter().enumerate() {
+                    if o != i && or.index > 0 && sys.subjob(or).processor == p && o - 1 != i {
+                        self.edges.push((o - 1, i));
+                    }
+                }
+            }
+        }
+        self.edges.sort_unstable();
+        self.edges.dedup();
+    }
+
+    /// Fill the tables and topologically order the subjobs into `order`
+    /// (Kahn's algorithm, FIFO); errors with the residual node set on a
+    /// cycle.
+    pub(crate) fn plan(&mut self, sys: &TaskSystem) -> Result<(), AnalysisError> {
+        self.fill_edges(sys);
+        let n = self.refs.len();
+        self.out_start.clear();
+        self.out_start.resize(n + 1, 0);
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        for &(a, b) in &self.edges {
+            self.out_start[a + 1] += 1;
+            self.indegree[b] += 1;
+        }
+        for a in 0..n {
+            self.out_start[a + 1] += self.out_start[a];
+        }
+        self.order.clear();
+        self.order.extend((0..n).filter(|&i| self.indegree[i] == 0));
+        let mut head = 0;
+        while head < self.order.len() {
+            let a = self.order[head];
+            head += 1;
+            for e in self.out_start[a]..self.out_start[a + 1] {
+                let b = self.edges[e].1;
+                self.indegree[b] -= 1;
+                if self.indegree[b] == 0 {
+                    self.order.push(b);
+                }
+            }
+        }
+        if self.order.len() < n {
+            let cycle = (0..n)
+                .filter(|&i| self.indegree[i] > 0)
+                .map(|i| self.refs[i])
+                .collect();
+            return Err(AnalysisError::CyclicDependency { cycle });
+        }
+        Ok(())
+    }
 }
 
 /// Dependency edges with forward **and** reverse adjacency, the substrate of
@@ -218,34 +316,10 @@ impl DirtyCone {
 /// Topologically order the subjobs; errors with the residual node set on a
 /// cycle.
 pub fn evaluation_order(sys: &TaskSystem, idx: &SubjobIndex) -> Result<Vec<usize>, AnalysisError> {
-    let n = idx.len();
-    let edges = dependency_edges(sys, idx);
-    let mut indegree = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &edges {
-        indegree[b] += 1;
-        out[a].push(b);
-    }
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..n).filter(|i| indegree[*i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for &j in &out[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                queue.push_back(j);
-            }
-        }
-    }
-    if order.len() < n {
-        let cycle = (0..n)
-            .filter(|i| indegree[*i] > 0)
-            .map(|i| idx.subjob(i))
-            .collect();
-        return Err(AnalysisError::CyclicDependency { cycle });
-    }
-    Ok(order)
+    debug_assert_eq!(idx.len(), sys.all_subjobs().count());
+    let mut plan = DensePlan::default();
+    plan.plan(sys)?;
+    Ok(plan.order)
 }
 
 #[cfg(test)]

@@ -32,9 +32,14 @@ pub struct FcfsProcessor {
     pub total_workload: Curve,
     /// Utilization function `U` (Theorem 7, left-limit reading).
     pub utilization: Curve,
-    /// `G` extended with a sentinel jump past the horizon so that inverse
-    /// queries beyond the final arrival resolve to "after everything".
-    g_extended_inverse: Curve,
+    /// Theorem 8's serving frontier `v = G⁻¹ ∘ (U + 1)`, where `G⁻¹` is the
+    /// inverse of `G` extended with a sentinel jump past the horizon (so
+    /// inverse queries beyond the final arrival resolve to "after
+    /// everything"). It depends only on the processor, so it is composed
+    /// once here rather than once per subjob.
+    lower_frontier: Curve,
+    /// Theorem 9's serving frontier `s* = G⁻¹ ∘ U`, hoisted likewise.
+    upper_frontier: Curve,
 }
 
 impl FcfsProcessor {
@@ -56,7 +61,8 @@ impl FcfsProcessor {
 
         // Sentinel: pretend an enormous batch arrives just past the horizon,
         // so G⁻¹(y) for y beyond the real total resolves to horizon + 1 and
-        // the workload composition below yields "all of c" there.
+        // the workload compositions in `service_bounds` yield "all of c"
+        // there.
         let total = g.sup_on(horizon);
         let sentinel = total + horizon.ticks() + 2;
         let g_ext = g.truncate_after(horizon).add(&Curve::step_from_points(
@@ -64,10 +70,13 @@ impl FcfsProcessor {
             &[(horizon + Time::ONE, sentinel)],
         ));
         let g_ext_inv = g_ext.inverse_curve()?;
+        let lower_frontier = compose(&g_ext_inv, &u.add_const(1))?;
+        let upper_frontier = compose(&g_ext_inv, &u)?;
         Ok(FcfsProcessor {
             total_workload: g,
             utilization: u,
-            g_extended_inverse: g_ext_inv,
+            lower_frontier,
+            upper_frontier,
         })
     }
 
@@ -80,9 +89,8 @@ impl FcfsProcessor {
         tau: Time,
     ) -> Result<crate::spnp::ServiceBounds, CurveError> {
         // Lower: frontier v(t) = G⁻¹(U(t) + 1); served ≥ c(v⁻) = c_prev(v).
-        let v = compose(&self.g_extended_inverse, &self.utilization.add_const(1))?;
         let c_prev = workload.shift_right(Time::ONE, 0);
-        let lower_raw = compose(&c_prev, &v)?;
+        let lower_raw = compose(&c_prev, &self.lower_frontier)?;
         let lower = lower_raw
             .min_with(workload)
             .min_with(&Curve::identity())
@@ -90,8 +98,7 @@ impl FcfsProcessor {
             .running_max();
 
         // Upper: frontier s*(t) = G⁻¹(U(t)); served ≤ c(s*) + τ, and ≤ t.
-        let s_star = compose(&self.g_extended_inverse, &self.utilization)?;
-        let upper_raw = compose(workload, &s_star)?.add_const(tau.ticks());
+        let upper_raw = compose(workload, &self.upper_frontier)?.add_const(tau.ticks());
         let upper = upper_raw
             .min_with(&Curve::identity())
             .min_with(workload)

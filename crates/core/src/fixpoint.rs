@@ -56,6 +56,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::config::{AnalysisConfig, SpnpAvailability};
+use crate::depgraph::DensePlan;
 use crate::error::AnalysisError;
 use crate::policy::{
     policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs,
@@ -63,7 +64,7 @@ use crate::policy::{
 use crate::report::{BoundsReport, JobBound};
 use crate::spnp::{ServiceBounds, SoaServiceBounds};
 use rta_curves::{Curve, Scratch, SoaCurve, Time};
-use rta_model::{JobId, ProcessorId, SubjobRef, TaskSystem};
+use rta_model::{JobId, ProcessorId, TaskSystem};
 
 /// Systems with at least this many subjobs fan each round out over the
 /// worker pool; smaller ones iterate sequentially in the caller's
@@ -95,15 +96,16 @@ impl LoopSeed {
 
 /// Per-thread state of the fixpoint driver, reused across calls so a warm
 /// seeded re-analysis allocates nothing: dense subjob tables (the `i`-th
-/// entry of every vector describes subjob `refs[i]`, in `all_subjobs`
-/// order), the cycle-free envelopes, the double-buffered bound iterates
-/// (`cur`/`next`), and the curve scratch arena.
+/// entry of every vector describes subjob `plan.refs[i]`, in
+/// `all_subjobs` order), the cycle-free envelopes, the double-buffered
+/// bound iterates (`cur`/`next`), and the curve scratch arena.
 #[derive(Default)]
 struct LoopWorkspace {
     scratch: Scratch,
-    refs: Vec<SubjobRef>,
-    /// `job_start[k] + j` is the dense index of subjob `j` of job `k`.
-    job_start: Vec<usize>,
+    /// Subjob tables and each node's higher-priority peers — the only
+    /// cross-subjob inputs of a round (`plan.hp_flat[plan.hp_start[i]..
+    /// plan.hp_start[i + 1]]`), so they drive the staleness tracking.
+    plan: DensePlan,
     times: Vec<Time>,
     stage: Curve,
     /// SoA staging pair: round-0 cold-init temporaries, then the Eq. 12
@@ -121,10 +123,6 @@ struct LoopWorkspace {
     weight: Vec<u32>,
     blocking: Vec<Time>,
     processor: Vec<usize>,
-    /// Flattened higher-priority peer indices; node `i`'s peers are
-    /// `hp_flat[hp_start[i]..hp_start[i + 1]]`.
-    hp_flat: Vec<usize>,
-    hp_start: Vec<usize>,
     /// Double-buffered bound iterates, in SoA layout end-to-end: a warm
     /// round never materializes an AoS segment array.
     cur: Vec<SoaServiceBounds>,
@@ -234,19 +232,10 @@ fn analyze_seeded_in(
     assert!(max_rounds >= 1);
     let (window, horizon) = cfg.resolve(sys);
 
-    // ---- Dense subjob tables (all_subjobs order). ----
-    ws.refs.clear();
-    ws.job_start.clear();
-    for (k, job) in sys.jobs().iter().enumerate() {
-        ws.job_start.push(ws.refs.len());
-        for j in 0..job.subjobs.len() {
-            ws.refs.push(SubjobRef {
-                job: JobId(k),
-                index: j,
-            });
-        }
-    }
-    let n = ws.refs.len();
+    // ---- Dense subjob tables (all_subjobs order) and higher-priority
+    // peer slots. ----
+    ws.plan.fill_tables(sys);
+    let n = ws.plan.refs.len();
 
     // ---- Cycle-free arrival envelopes and workloads. This is the single
     // AoS→SoA ingest boundary: the workloads convert here, once, and the
@@ -255,7 +244,7 @@ fn analyze_seeded_in(
     ensure_curves(&mut ws.workload, n);
     ensure_soa_curves(&mut ws.workload_soa, n);
     for i in 0..n {
-        let r = ws.refs[i];
+        let r = ws.plan.refs[i];
         let job = sys.job(r.job);
         job.arrival.release_times_into(window, &mut ws.times);
         Curve::from_event_times_into(&ws.times, &mut ws.stage);
@@ -265,40 +254,22 @@ fn analyze_seeded_in(
         ws.workload_soa[i].copy_from_curve(&ws.workload[i]);
     }
 
-    // ---- Per-node policy metadata. Higher-priority peer slots are the
-    // only cross-subjob inputs of a round, so they drive the staleness
-    // tracking; the enumeration order matches `higher_priority_peers`. ----
+    // ---- Per-node policy metadata. ----
     ws.policy.clear();
     ws.tau.clear();
     ws.weight.clear();
     ws.blocking.clear();
     ws.processor.clear();
-    ws.hp_flat.clear();
-    ws.hp_start.clear();
     for i in 0..n {
-        let r = ws.refs[i];
+        let r = ws.plan.refs[i];
         let s = sys.subjob(r);
         let policy = policy_for(sys.processor(s.processor).scheduler);
-        ws.hp_start.push(ws.hp_flat.len());
-        if policy.peer_inputs() == PeerInputs::HigherPriorityServices {
-            let phi = s.priority.expect("validated: priorities assigned");
-            for (h, &o) in ws.refs.iter().enumerate() {
-                if o == r {
-                    continue;
-                }
-                let os = sys.subjob(o);
-                if os.processor == s.processor && os.priority.expect("assigned") < phi {
-                    ws.hp_flat.push(h);
-                }
-            }
-        }
         ws.policy.push(policy);
         ws.tau.push(s.exec);
         ws.weight.push(s.weight());
         ws.blocking.push(policy.blocking(sys, r));
         ws.processor.push(s.processor.0);
     }
-    ws.hp_start.push(ws.hp_flat.len());
 
     // Shared-workload policy contexts (FCFS, IWRR) depend only on the
     // (round-invariant) peer workloads: build each processor's context
@@ -309,7 +280,7 @@ fn analyze_seeded_in(
         if ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
             let p = ProcessorId(ws.processor[i]);
             let workload = &ws.workload;
-            let job_start = &ws.job_start;
+            let job_start = &ws.plan.job_start;
             ctxs.ensure(sys, p, horizon, &mut |o| {
                 workload[job_start[o.job.0] + o.index].clone()
             })?;
@@ -357,8 +328,9 @@ fn analyze_seeded_in(
             weight,
             blocking,
             processor,
-            hp_flat,
-            hp_start,
+            plan: DensePlan {
+                hp_flat, hp_start, ..
+            },
             cur,
             next,
             stale,
@@ -428,7 +400,7 @@ fn analyze_seeded_in(
         let nodes: Vec<RoundNode> = (0..n)
             .map(|i| RoundNode {
                 workload: ws.workload[i].clone(),
-                hp: ws.hp_flat[ws.hp_start[i]..ws.hp_start[i + 1]].to_vec(),
+                hp: ws.plan.hp_flat[ws.plan.hp_start[i]..ws.plan.hp_start[i + 1]].to_vec(),
                 policy: ws.policy[i],
                 processor: ws.processor[i],
                 tau: ws.tau[i],
@@ -508,7 +480,7 @@ fn analyze_seeded_in(
         let n_instances = ws.times.len() as i64;
         let mut hop_delays = Vec::with_capacity(job.subjobs.len());
         for j in 0..job.subjobs.len() {
-            let i = ws.job_start[k] + j;
+            let i = ws.plan.job_start[k] + j;
             // SoA sweep: the converged lower bound is already SoA, so the
             // departure extraction and the Eq. 12 cursor walk run on the
             // flat arrays with no conversion at all.
@@ -560,7 +532,7 @@ mod tests {
     use super::*;
     use crate::depgraph::{evaluation_order, SubjobIndex};
     use rta_model::priority::{assign_priorities, PriorityPolicy};
-    use rta_model::{ArrivalPattern, SchedulerKind, SystemBuilder};
+    use rta_model::{ArrivalPattern, SchedulerKind, SubjobRef, SystemBuilder};
 
     fn periodic(p: i64) -> ArrivalPattern {
         ArrivalPattern::Periodic {

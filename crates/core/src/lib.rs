@@ -12,7 +12,7 @@
 //! | Theorem 1 (exact end-to-end WCRT) | [`exact::analyze_exact_spp`] |
 //! | Theorem 2 (`f_dep = ⌊S/τ⌋`) | [`rta_curves::Curve::floor_div`] |
 //! | Theorem 3 (exact SPP service functions) | [`spp`] |
-//! | Theorem 4 + Lemmas 1,2 (additive bounds) | [`bounds::analyze_bounds`] |
+//! | Theorem 4 + Lemmas 1,2 (additive bounds) | [`bounds::analyze_bounds`], verdict-only [`bounds::bounds_schedulable`] |
 //! | Theorems 5,6 + Eq. 15 (SPNP service bounds) | [`spnp`] |
 //! | Theorems 7,8,9 (FCFS service bounds) | [`fcfs`] |
 //! | Section 5 baseline "SPP/S&L" | [`holistic`] |
@@ -108,7 +108,7 @@ pub mod spp;
 pub mod wcdfp;
 
 pub use batch::BatchAnalyzer;
-pub use bounds::analyze_bounds;
+pub use bounds::{analyze_bounds, bounds_schedulable};
 pub use config::{AnalysisConfig, SpnpAvailability};
 pub use error::AnalysisError;
 pub use exact::analyze_exact_spp;

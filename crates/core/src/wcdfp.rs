@@ -102,6 +102,12 @@ pub fn inv_norm_cdf(p: f64) -> f64 {
 
 /// Wilson score interval for `k` successes in `n` Bernoulli trials at the
 /// given two-sided confidence level. `n == 0` yields the vacuous `[0, 1]`.
+///
+/// The interval always brackets the point estimate: `lo ≤ k/n ≤ hi`, with
+/// `lo` exactly 0 at `k = 0` and `hi` exactly 1 at `k = n`. In exact
+/// arithmetic the score formula gives those endpoints itself, but in
+/// floating point `center − half` cancels to a residue of order 1e-19 at
+/// `k = 0`, so the endpoints are pinned and clamped explicitly.
 pub fn wilson(k: u64, n: u64, confidence: f64) -> (f64, f64) {
     if n == 0 {
         return (0.0, 1.0);
@@ -113,7 +119,17 @@ pub fn wilson(k: u64, n: u64, confidence: f64) -> (f64, f64) {
     let denom = 1.0 + z2 / nf;
     let center = (p + z2 / (2.0 * nf)) / denom;
     let half = z * (p * (1.0 - p) / nf + z2 / (4.0 * nf * nf)).sqrt() / denom;
-    ((center - half).max(0.0), (center + half).min(1.0))
+    let lo = if k == 0 {
+        0.0
+    } else {
+        (center - half).clamp(0.0, p)
+    };
+    let hi = if k == n {
+        1.0
+    } else {
+        (center + half).clamp(p, 1.0)
+    };
+    (lo, hi)
 }
 
 /// Natural log of the gamma function (Lanczos, g = 7, 9 terms).
@@ -709,6 +725,19 @@ mod tests {
         let (lo, hi) = wilson(0, 50, 0.95);
         assert_eq!(lo, 0.0);
         assert!(hi > 0.0 && hi < 0.12);
+    }
+
+    #[test]
+    fn wilson_endpoints_are_exact_and_bracket_the_estimate() {
+        for n in [2000u64, 4000, 100_000] {
+            for k in [0, 1, n - 1, n] {
+                let (lo, hi) = wilson(k, n, 0.95);
+                let p = k as f64 / n as f64;
+                assert!(0.0 <= lo && lo <= p && p <= hi && hi <= 1.0, "k={k} n={n}");
+                assert_eq!(lo == 0.0, k == 0, "k={k} n={n}: lo={lo}");
+                assert_eq!(hi == 1.0, k == n, "k={k} n={n}: hi={hi}");
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,17 @@ echo "==> service soak + alloc budget gates (alloc_stats, release)"
 cargo test -p rta-bench --features alloc_stats --release --test service_soak -q
 cargo test -p rta-bench --features alloc_stats --release --test alloc_budget -q
 
+# The paper's evaluation at its own size: regenerating the Figure 3/4
+# grids at 1000 sets per point must reproduce the committed results byte
+# for byte, so a speed-up can never quietly change a verdict.
+echo "==> figure regeneration: fig3/fig4 --sets 1000 vs results/fig{3,4}.json"
+figdir="$(mktemp -d)"
+cargo run -p rta-bench --release --bin fig3 -- --sets 1000 --json "$figdir/fig3.json" > /dev/null
+cargo run -p rta-bench --release --bin fig4 -- --sets 1000 --json "$figdir/fig4.json" > /dev/null
+cmp results/fig3.json "$figdir/fig3.json"
+cmp results/fig4.json "$figdir/fig4.json"
+rm -rf "$figdir"
+
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     # Stash the committed baselines before perf_snapshot overwrites them,
     # then gate: fail if any benchmark regressed by more than 25%.
