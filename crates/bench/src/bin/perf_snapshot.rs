@@ -18,9 +18,8 @@ use rta_bench::harness::Bench;
 use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_exact_spp, AnalysisConfig, AnalysisSession};
-use rta_curves::arena::Scratch;
-use rta_curves::convolution::{convolve, convolve_decomposed_into, min_plus_convolve_lattice};
-use rta_curves::ops::linear_combine_into;
+use rta_curves::convolution::{convolve, convolve_decomposed, min_plus_convolve_lattice};
+use rta_curves::ops::linear_combine;
 use rta_curves::{Curve, CurveCursor, SoaCurve, Time};
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
@@ -141,11 +140,8 @@ fn main() {
 
     // Kernel vs oracle: the general min-plus convolution on non-convex
     // staircase curves. `convolve` is the crossover-dispatching hybrid;
-    // `segment` is the SoA decomposition path driven the way the analyses
-    // drive it (warm `Scratch`, reused output) and `lattice_oracle` the
-    // O(horizon²) scan, pinned so the heuristic's choice stays visible.
-    let mut scratch = Scratch::new();
-    let mut conv_out = Curve::zero();
+    // `segment` pins the convex-decomposition path and `lattice_oracle`
+    // the O(horizon²) scan, so the heuristic's choice stays visible.
     for n in [16i64, 64] {
         let f = arrivals(n, 10).scale(3);
         let g = arrivals(n, 12).scale(2);
@@ -154,7 +150,7 @@ fn main() {
             convolve(&f, &g, horizon)
         });
         b.run(&format!("convolve/segment/{n}"), || {
-            convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
+            convolve_decomposed(&f, &g, horizon)
         });
         b.run(&format!("convolve/lattice_oracle/{n}"), || {
             min_plus_convolve_lattice(&f, &g, horizon)
@@ -170,38 +166,32 @@ fn main() {
         let horizon = Time(25_000);
         b.run("convolve/hybrid/sparse_h25k", || convolve(&f, &g, horizon));
         b.run("convolve/segment/sparse_h25k", || {
-            convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
+            convolve_decomposed(&f, &g, horizon)
         });
         b.run("convolve/lattice_oracle/sparse_h25k", || {
             min_plus_convolve_lattice(&f, &g, horizon)
         });
     }
 
-    // SoA kernels against their AoS counterparts on the merge-heavy shapes
-    // the fixpoint inner loop produces. Same inputs, warm buffers on both
-    // sides; `tests/soa_kernels.rs` pins the outputs equal, so the pair is
-    // a pure layout comparison.
+    // SoA kernels (warm output buffer) against the allocating AoS kernels
+    // they are pinned to, on the merge-heavy shapes the fixpoint inner
+    // loop produces. `tests/soa_kernels.rs` pins the outputs equal, so
+    // the pair measures what the production layout saves over the
+    // reference tier.
     {
         let a = arrivals(256, 7).scale(3);
         let c = arrivals(256, 11).scale(2);
         let (sa, sc) = (SoaCurve::from_curve(&a), SoaCurve::from_curve(&c));
-        let mut aos_out = Curve::zero();
         let mut soa_out = SoaCurve::zero();
-        b.run("aos/linear_combine/256", || {
-            linear_combine_into(&a, 2, &c, -1, &mut aos_out)
-        });
+        b.run("aos/linear_combine/256", || linear_combine(&a, 2, &c, -1));
         b.run("soa/linear_combine/256", || {
             rta_curves::soa::linear_combine_into(&sa, 2, &sc, -1, &mut soa_out)
         });
-        b.run("aos/floor_div/256", || {
-            a.floor_div_into(3, Time(2048), &mut aos_out).unwrap()
-        });
+        b.run("aos/floor_div/256", || a.floor_div(3, Time(2048)).unwrap());
         b.run("soa/floor_div/256", || {
             sa.floor_div_into(3, Time(2048), &mut soa_out).unwrap()
         });
-        b.run("aos/pointwise_min/256", || {
-            a.min_with_into(&c, &mut aos_out)
-        });
+        b.run("aos/pointwise_min/256", || a.min_with(&c));
         b.run("soa/pointwise_min/256", || {
             sa.min_with_into(&sc, &mut soa_out)
         });
@@ -351,11 +341,10 @@ fn incremental_suite() {
     });
 
     // The allocation-free steady state: one warm, seeded fixpoint run per
-    // iteration on a session whose seed has already converged. The 2-stage
-    // shop (12 subjobs) stays below the fixpoint's parallel-dispatch
-    // threshold, so this times the sequential in-workspace path — the
-    // per-scenario unit cost inside every batched sweep; the `alloc_budget`
-    // test pins the warm path's heap traffic.
+    // iteration on a session whose seed has already converged, on the
+    // 2-stage shop (12 subjobs) — the per-scenario unit cost inside every
+    // batched sweep; the `alloc_budget` test pins the warm path's heap
+    // traffic.
     let small = shop_at_ticks(SchedulerKind::Spnp, 2, 6, 8);
     let (sw, sh) = AnalysisConfig::default().resolve(&small);
     let small_pinned = AnalysisConfig {

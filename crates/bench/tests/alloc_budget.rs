@@ -10,10 +10,13 @@
 
 use std::sync::Mutex;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rta_bench::alloc_stats::alloc_count;
 use rta_core::sensitivity::Oracle;
 use rta_core::{bounds_schedulable, AnalysisConfig, AnalysisSession};
 use rta_curves::Time;
+use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, SchedulerKind, SystemBuilder, TaskSystem};
 
@@ -50,8 +53,8 @@ fn pipeline() -> TaskSystem {
 /// After warm-up, a seeded loop analysis must do O(1) heap allocations —
 /// the arena/workspace discipline of the fixpoint driver. The budget of 8
 /// covers the report assembly (one jobs `Vec`, one hop-delay `Vec` per
-/// job) plus the per-round peer-reference scratch; everything else comes
-/// from the thread-local workspace and the carried seed.
+/// job); everything else comes from the thread-local workspace and the
+/// carried seed.
 #[test]
 fn warm_seeded_analysis_stays_within_allocation_budget() {
     let _serial = SERIAL.lock().unwrap();
@@ -97,6 +100,57 @@ fn warm_seeded_analysis_stays_within_allocation_budget() {
     assert!(
         per_probe <= 4.0,
         "memoized verdict allocates {per_probe} times per probe"
+    );
+}
+
+/// The 8-stage SPNP job shop of `perf_snapshot`'s `critical_scaling/loops_*`
+/// rows: 6 jobs × 8 stages = 48 subjobs.
+fn spnp_shop_48() -> TaskSystem {
+    let cfg = ShopConfig {
+        stages: 8,
+        procs_per_stage: 2,
+        n_jobs: 6,
+        scheduler: SchedulerKind::Spnp,
+        utilization: 0.6,
+        arrivals: ShopArrivals::Periodic {
+            deadline_factor: 16.0,
+        },
+        x_min: 0.2,
+        ticks_per_unit: 8,
+    };
+    let mut sys = generate(&cfg, &mut StdRng::seed_from_u64(42)).unwrap();
+    assign_priorities(&mut sys, PriorityPolicy::RelativeDeadlineMonotonic).unwrap();
+    sys
+}
+
+/// The same budget at 48 subjobs (6 jobs): every system size iterates in
+/// the per-thread workspace, so a warm seeded run allocates only for its
+/// report.
+#[test]
+fn warm_seeded_analysis_at_48_subjobs_stays_within_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap();
+    let sys = spnp_shop_48();
+    let base = AnalysisConfig::default();
+    let (window, horizon) = base.resolve(&sys);
+    let cfg = AnalysisConfig {
+        arrival_window: Some(window),
+        horizon: Some(horizon),
+        ..base
+    };
+    let mut session = AnalysisSession::pinned(sys, cfg);
+    for _ in 0..3 {
+        session.analyze_with_loops(24).unwrap();
+    }
+
+    const RUNS: u64 = 16;
+    let before = alloc_count();
+    for _ in 0..RUNS {
+        session.analyze_with_loops(24).unwrap();
+    }
+    let per_call = (alloc_count() - before) as f64 / RUNS as f64;
+    assert!(
+        per_call <= 8.0,
+        "warm seeded analyze at 48 subjobs allocates {per_call} times per call (budget 8)"
     );
 }
 

@@ -50,23 +50,23 @@ use crate::error::AnalysisError;
 use crate::policy::{policy_for, PeerInputs, ProcessorContexts, SoaBoundsInputs};
 use crate::report::{BoundsReport, JobBound};
 use crate::spnp::SoaServiceBounds;
-use rta_curves::{Curve, CurveCursor, Scratch, SoaCursor, SoaCurve, Time};
+use rta_curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
 use rta_model::{JobId, TaskSystem};
 
 /// The per-hop worst-case delay of Equation 12: the maximal horizontal
 /// deviation `max_m ( f̲⁻¹_dep(m) − f̄⁻¹_arr(m) )` over the first
 /// `n_instances` instances, or `None` if any instance is unresolved within
-/// the horizon. The departure bound is in structure-of-arrays form, so the
-/// drivers read the `floor_div` result straight out of their workspace
-/// buffer. The sweep is cursor-based: amortized O(1) per instance.
-/// [`SoaCursor`] is pinned step-identical to [`CurveCursor`], so both
-/// cursors resolve the same instants.
+/// the horizon. Both curves are in structure-of-arrays form, so the
+/// drivers read the envelope and the `floor_div` result straight out of
+/// their workspace buffers. The sweep is cursor-based: amortized O(1) per
+/// instance. [`SoaCursor`] is pinned step-identical to the AoS
+/// [`rta_curves::CurveCursor`], so both resolve the same instants.
 pub(crate) fn hop_delay_soa(
-    arr_env: &Curve,
+    arr_env: &SoaCurve,
     dep_lower: &SoaCurve,
     n_instances: i64,
 ) -> Option<Time> {
-    let mut arr_cur = CurveCursor::new(arr_env);
+    let mut arr_cur = SoaCursor::new(arr_env);
     let mut dep_cur = SoaCursor::new(dep_lower);
     let mut d = Time::ZERO;
     for m in 1..=n_instances {
@@ -91,13 +91,12 @@ struct BoundsWorkspace {
     /// Per node: the upper-bounded arrival envelope (the release curve on a
     /// first hop, the predecessor's Lemma 2 output otherwise) and the
     /// service bounds — the only per-node curves later nodes read.
-    arr_env: Vec<Curve>,
+    arr_env: Vec<SoaCurve>,
     bounds: Vec<SoaServiceBounds>,
-    /// Staging buffers for the node being computed: its workload in both
-    /// layouts, the kernel's output pair, and the `floor_div` departure /
+    /// Staging buffers for the node being computed: its workload, the
+    /// kernel's output pair, and the `floor_div` departure /
     /// next-arrival curve.
-    workload: Curve,
-    workload_soa: SoaCurve,
+    workload: SoaCurve,
     out: SoaServiceBounds,
     dep_soa: SoaCurve,
     /// Emptied peer-reference buffers, kept for their capacity.
@@ -123,7 +122,7 @@ const RETAIN_LIMIT: usize = 512;
 impl BoundsWorkspace {
     /// Curve entries held in the per-node slots.
     fn retained_len(&self) -> usize {
-        let arr: usize = self.arr_env.iter().map(Curve::num_segments).sum();
+        let arr: usize = self.arr_env.iter().map(SoaCurve::len).sum();
         let bounds: usize = self
             .bounds
             .iter()
@@ -133,7 +132,9 @@ impl BoundsWorkspace {
     }
 }
 
-fn ensure_len<T>(v: &mut Vec<T>, n: usize, fill: impl FnMut() -> T) {
+/// Grow `v` to at least `n` slots, filling new ones with `fill()`; existing
+/// slots keep their buffers.
+pub(crate) fn ensure_len<T>(v: &mut Vec<T>, n: usize, fill: impl FnMut() -> T) {
     if v.len() < n {
         v.resize_with(n, fill);
     }
@@ -155,7 +156,7 @@ fn with_workspace<T>(f: impl FnOnce(&mut BoundsWorkspace) -> T) -> T {
 /// Rebind an emptied peer-reference buffer to a new borrow. The in-place
 /// `collect` keeps the allocation (the element layout is unchanged), so
 /// the per-node peer slices cost no heap traffic once the buffer has grown.
-fn rebind<'b>(mut v: Vec<&SoaCurve>) -> Vec<&'b SoaCurve> {
+pub(crate) fn rebind<'b>(mut v: Vec<&SoaCurve>) -> Vec<&'b SoaCurve> {
     v.clear();
     v.into_iter()
         .map(|_| -> &'b SoaCurve { unreachable!() })
@@ -195,7 +196,6 @@ fn run_pass(
         n_instances,
         arr_env,
         workload,
-        workload_soa,
         bounds,
         out,
         dep_soa,
@@ -205,7 +205,7 @@ fn run_pass(
         e2e,
         ..
     } = ws;
-    ensure_len(arr_env, n, Curve::zero);
+    ensure_len(arr_env, n, SoaCurve::zero);
     ensure_len(bounds, n, SoaServiceBounds::zeroed);
     hop_delay.clear();
     hop_delay.resize(n, None);
@@ -219,7 +219,7 @@ fn run_pass(
     for (k, job) in sys.jobs().iter().enumerate() {
         job.arrival.release_times_into(window, times);
         n_instances.push(times.len() as i64);
-        Curve::from_event_times_into(times, &mut arr_env[job_start[k]]);
+        SoaCurve::from_event_times_into(times, &mut arr_env[job_start[k]]);
     }
 
     let mut ctxs = ProcessorContexts::new();
@@ -230,12 +230,15 @@ fn run_pass(
         let tau = subjob.exec;
         let policy = policy_for(sys.processor(subjob.processor).scheduler);
         arr_env[i].scale_into(tau.ticks(), workload);
-        workload_soa.copy_from_curve(workload);
         if policy.peer_inputs() == PeerInputs::SharedWorkloads {
+            // Shared-workload contexts (FCFS, IWRR) are built on AoS
+            // curves, converted at this boundary.
             let arr_env = &*arr_env;
             let job_start = &*job_start;
             ctxs.ensure(sys, subjob.processor, horizon, &mut |o| {
-                arr_env[job_start[o.job.0] + o.index].scale(sys.subjob(o).exec.ticks())
+                arr_env[job_start[o.job.0] + o.index]
+                    .to_curve()
+                    .scale(sys.subjob(o).exec.ticks())
             })?;
         }
 
@@ -247,8 +250,7 @@ fn run_pass(
         }
         let computed = policy.service_bounds_soa_into(
             &SoaBoundsInputs {
-                workload: workload_soa,
-                workload_aos: workload,
+                workload,
                 tau,
                 weight: subjob.weight(),
                 blocking: policy.blocking(sys, r),
@@ -291,8 +293,7 @@ fn run_pass(
         if r.index + 1 < sys.job(r.job).subjobs.len() {
             bounds[i]
                 .upper
-                .floor_div_into(tau.ticks(), horizon, dep_soa)?;
-            dep_soa.write_to_curve(&mut arr_env[i + 1]);
+                .floor_div_into(tau.ticks(), horizon, &mut arr_env[i + 1])?;
         }
     }
     Ok(verdict)

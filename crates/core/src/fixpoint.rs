@@ -44,39 +44,34 @@
 //!
 //! All interior state — dense subjob tables, arrival/workload curves,
 //! double-buffered bound iterates and the curve [`Scratch`] — lives in a
-//! per-thread [`LoopWorkspace`] that is reused across calls. Small systems
-//! (below [`PAR_THRESHOLD`] subjobs) run the rounds sequentially through
-//! the `_into` kernels: after a warm-up call on the same frame, a seeded
-//! re-analysis performs O(1) heap allocations (see DESIGN.md §4d and the
-//! `alloc_budget` test in `rta-bench`). Larger systems fan rounds out over
-//! the persistent worker pool exactly as before; both paths compute
-//! bit-identical results (pinned by `sequential_and_parallel_agree`).
+//! per-thread [`LoopWorkspace`] that is reused across calls, in
+//! structure-of-arrays layout from model ingest to the Eq. 12 sweep
+//! (DESIGN.md §4g). Every system, whatever its size, runs its Jacobi
+//! rounds sequentially in that workspace: after a warm-up call on the same
+//! frame, a seeded re-analysis performs O(1) heap allocations (see
+//! DESIGN.md §4d and the `alloc_budget` test in `rta-bench`). The
+//! sequential, allocating reference these rounds are pinned against lives
+//! with the tests (`tests/reference/mod.rs`, checked by
+//! `tests/soa_pipeline_oracle.rs`).
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::config::{AnalysisConfig, SpnpAvailability};
+use crate::bounds::{ensure_len, rebind};
+use crate::config::AnalysisConfig;
 use crate::depgraph::DensePlan;
 use crate::error::AnalysisError;
-use crate::policy::{
-    policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs,
-};
+use crate::policy::{policy_for, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs};
 use crate::report::{BoundsReport, JobBound};
-use crate::spnp::{ServiceBounds, SoaServiceBounds};
-use rta_curves::{Curve, Scratch, SoaCurve, Time};
+use crate::spnp::SoaServiceBounds;
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{JobId, ProcessorId, TaskSystem};
-
-/// Systems with at least this many subjobs fan each round out over the
-/// worker pool; smaller ones iterate sequentially in the caller's
-/// workspace, which is both faster (no dispatch overhead) and
-/// allocation-free when warm.
-const PAR_THRESHOLD: usize = 32;
 
 /// Converged interior state of a loop-tolerant run, reusable as the seed of
 /// the next run on a system with the same topology and analysis frame.
 ///
 /// The bounds are shared (`Arc`) and stored in structure-of-arrays layout —
-/// the working representation of the warm rounds (DESIGN.md §4g), so
+/// the working representation of the rounds (DESIGN.md §4g), so
 /// re-seeding copies flat arrays (or, for an unchanged system, returns a
 /// handle to the same vector) without ever materializing AoS segments.
 #[derive(Clone, Debug)]
@@ -97,8 +92,9 @@ impl LoopSeed {
 /// Per-thread state of the fixpoint driver, reused across calls so a warm
 /// seeded re-analysis allocates nothing: dense subjob tables (the `i`-th
 /// entry of every vector describes subjob `plan.refs[i]`, in
-/// `all_subjobs` order), the cycle-free envelopes, the double-buffered
-/// bound iterates (`cur`/`next`), and the curve scratch arena.
+/// `all_subjobs` order), the cycle-free envelopes and workloads, the
+/// double-buffered bound iterates (`cur`/`next`), and the curve scratch
+/// arena.
 #[derive(Default)]
 struct LoopWorkspace {
     scratch: Scratch,
@@ -107,73 +103,31 @@ struct LoopWorkspace {
     /// plan.hp_start[i + 1]]`), so they drive the staleness tracking.
     plan: DensePlan,
     times: Vec<Time>,
-    stage: Curve,
-    /// SoA staging pair: round-0 cold-init temporaries, then the Eq. 12
-    /// `floor_div` departure curve.
-    stage_soa: SoaCurve,
-    dep_soa: SoaCurve,
-    arr_env: Vec<Curve>,
-    /// Per-subjob workloads in both layouts, built once at model ingest:
-    /// the SoA copy feeds the rounds, the AoS copy feeds shared-workload
-    /// policy contexts and the conversion fallback (DESIGN.md §4g).
-    workload: Vec<Curve>,
-    workload_soa: Vec<SoaCurve>,
+    /// Staging pair: the release curve at ingest, the round-0 cold-init
+    /// temporaries, then the Eq. 12 `floor_div` departure curve.
+    stage: SoaCurve,
+    dep: SoaCurve,
+    /// Per-subjob cycle-free arrival envelopes and workloads, built once
+    /// at model ingest.
+    arr_env: Vec<SoaCurve>,
+    workload: Vec<SoaCurve>,
     policy: Vec<&'static dyn ServicePolicy>,
     tau: Vec<Time>,
     weight: Vec<u32>,
     blocking: Vec<Time>,
     processor: Vec<usize>,
-    /// Double-buffered bound iterates, in SoA layout end-to-end: a warm
-    /// round never materializes an AoS segment array.
+    /// Double-buffered bound iterates.
     cur: Vec<SoaServiceBounds>,
     next: Vec<SoaServiceBounds>,
     stale: Vec<bool>,
     changed: Vec<bool>,
+    /// Emptied peer-reference buffers, kept for their capacity.
+    hp_lower: Vec<&'static SoaCurve>,
+    hp_upper: Vec<&'static SoaCurve>,
 }
 
 thread_local! {
     static LOOP_WS: RefCell<LoopWorkspace> = RefCell::new(LoopWorkspace::default());
-}
-
-fn ensure_curves(v: &mut Vec<Curve>, n: usize) {
-    if v.len() < n {
-        v.resize_with(n, Curve::zero);
-    }
-}
-
-fn ensure_soa_curves(v: &mut Vec<SoaCurve>, n: usize) {
-    if v.len() < n {
-        v.resize_with(n, SoaCurve::zero);
-    }
-}
-
-fn ensure_bounds(v: &mut Vec<SoaServiceBounds>, n: usize) {
-    if v.len() < n {
-        v.resize_with(n, SoaServiceBounds::zeroed);
-    }
-}
-
-/// Round-invariant inputs of one subjob, detached from the workspace so
-/// the parallel round closures are `'static` for the worker pool.
-struct RoundNode {
-    workload: Curve,
-    /// Dense indices of strictly-higher-priority peers (empty for
-    /// shared-workload policies like FCFS and IWRR).
-    hp: Vec<usize>,
-    policy: &'static dyn ServicePolicy,
-    processor: usize,
-    tau: Time,
-    weight: u32,
-    blocking: Time,
-}
-
-/// Everything a parallel Jacobi round reads besides the previous round's
-/// bounds.
-struct RoundCtx {
-    nodes: Vec<RoundNode>,
-    ctxs: ProcessorContexts,
-    avail: SpnpAvailability,
-    horizon: Time,
 }
 
 /// Run the loop-tolerant fixed-point analysis for at most `max_rounds`
@@ -199,25 +153,7 @@ pub fn analyze_with_loops_seeded(
     max_rounds: usize,
     seed: Option<&LoopSeed>,
 ) -> Result<(BoundsReport, LoopSeed), AnalysisError> {
-    LOOP_WS.with(|ws| {
-        let mut ws = ws.borrow_mut();
-        analyze_seeded_in(sys, cfg, max_rounds, seed, &mut ws, PAR_THRESHOLD)
-    })
-}
-
-/// [`analyze_with_loops`] forced onto the retained AoS kernels (the
-/// parallel-round path, which never touches the SoA iterate buffers).
-///
-/// This is the pinned reference driver: the SoA rounds are required to be
-/// bit-identical to it, and the driver-level oracle tests compare full
-/// reports from both entry points. It is not a performance API.
-pub fn analyze_with_loops_aos_reference(
-    sys: &TaskSystem,
-    cfg: &AnalysisConfig,
-    max_rounds: usize,
-) -> Result<BoundsReport, AnalysisError> {
-    let mut ws = LoopWorkspace::default();
-    analyze_seeded_in(sys, cfg, max_rounds, None, &mut ws, 0).map(|(report, _)| report)
+    LOOP_WS.with(|ws| analyze_seeded_in(sys, cfg, max_rounds, seed, &mut ws.borrow_mut()))
 }
 
 fn analyze_seeded_in(
@@ -226,7 +162,6 @@ fn analyze_seeded_in(
     max_rounds: usize,
     seed: Option<&LoopSeed>,
     ws: &mut LoopWorkspace,
-    par_threshold: usize,
 ) -> Result<(BoundsReport, LoopSeed), AnalysisError> {
     sys.validate(true)?;
     assert!(max_rounds >= 1);
@@ -237,21 +172,18 @@ fn analyze_seeded_in(
     ws.plan.fill_tables(sys);
     let n = ws.plan.refs.len();
 
-    // ---- Cycle-free arrival envelopes and workloads. This is the single
-    // AoS→SoA ingest boundary: the workloads convert here, once, and the
-    // rounds run on the flat arrays. ----
-    ensure_curves(&mut ws.arr_env, n);
-    ensure_curves(&mut ws.workload, n);
-    ensure_soa_curves(&mut ws.workload_soa, n);
+    // ---- Cycle-free arrival envelopes and workloads, built straight
+    // into the SoA slots. ----
+    ensure_len(&mut ws.arr_env, n, SoaCurve::zero);
+    ensure_len(&mut ws.workload, n, SoaCurve::zero);
     for i in 0..n {
         let r = ws.plan.refs[i];
         let job = sys.job(r.job);
         job.arrival.release_times_into(window, &mut ws.times);
-        Curve::from_event_times_into(&ws.times, &mut ws.stage);
+        SoaCurve::from_event_times_into(&ws.times, &mut ws.stage);
         let min_shift: Time = job.subjobs[..r.index].iter().map(|s| s.exec).sum();
         ws.stage.shift_right_into(min_shift, 0, &mut ws.arr_env[i]);
         ws.arr_env[i].scale_into(sys.subjob(r).exec.ticks(), &mut ws.workload[i]);
-        ws.workload_soa[i].copy_from_curve(&ws.workload[i]);
     }
 
     // ---- Per-node policy metadata. ----
@@ -273,8 +205,9 @@ fn analyze_seeded_in(
 
     // Shared-workload policy contexts (FCFS, IWRR) depend only on the
     // (round-invariant) peer workloads: build each processor's context
-    // once, before the rounds. Priority policies never enter this branch,
-    // so the warm path allocates nothing here.
+    // once, before the rounds, converting the peer workloads to AoS at
+    // this boundary. Priority policies never enter this branch, so the
+    // warm path allocates nothing here.
     let mut ctxs = ProcessorContexts::new();
     for i in 0..n {
         if ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
@@ -282,16 +215,15 @@ fn analyze_seeded_in(
             let workload = &ws.workload;
             let job_start = &ws.plan.job_start;
             ctxs.ensure(sys, p, horizon, &mut |o| {
-                workload[job_start[o.job.0] + o.index].clone()
+                workload[job_start[o.job.0] + o.index].to_curve()
             })?;
         }
     }
 
     // ---- Round 0: the seed when it fits the frame, information-free
-    // otherwise — built directly on the SoA kernels (segment-identical to
-    // the AoS construction by the equivalence contract). ----
-    ensure_bounds(&mut ws.cur, n);
-    ensure_bounds(&mut ws.next, n);
+    // otherwise. ----
+    ensure_len(&mut ws.cur, n, SoaServiceBounds::zeroed);
+    ensure_len(&mut ws.next, n, SoaServiceBounds::zeroed);
     let seeded = seed.filter(|s| s.matches(window, horizon, n));
     if let Some(s) = seeded {
         for i in 0..n {
@@ -301,28 +233,24 @@ fn analyze_seeded_in(
     } else {
         for i in 0..n {
             ws.cur[i].lower.set_affine(0, 0);
-            ws.stage_soa.set_affine(0, 1);
-            ws.stage_soa
-                .min_with_into(&ws.workload_soa[i], &mut ws.dep_soa);
-            ws.dep_soa.clamp_min_into(0, &mut ws.cur[i].upper);
+            ws.stage.set_affine(0, 1);
+            ws.stage.min_with_into(&ws.workload[i], &mut ws.dep);
+            ws.dep.clamp_min_into(0, &mut ws.cur[i].upper);
         }
     }
 
-    // Subjob `i`'s round-r bounds are a pure function of the round-(r−1)
-    // bounds of its higher-priority peers (and round-invariant workloads),
-    // so a subjob whose inputs did not change in the previous round keeps
-    // its memoized bounds. FCFS bounds have no cross-subjob inputs at all:
-    // they are computed once in the first round and never again.
+    // ---- Jacobi rounds, double-buffered through `cur`/`next` with all
+    // curve temporaries drawn from the scratch arena. Subjob `i`'s
+    // round-r bounds are a pure function of the round-(r−1) bounds of its
+    // higher-priority peers (and round-invariant workloads), so a subjob
+    // whose inputs did not change in the previous round keeps its
+    // memoized bounds. FCFS bounds have no cross-subjob inputs at all:
+    // they are computed once in the first round and never again. ----
     let mut any_change_ever = false;
-    if n < par_threshold {
-        // Sequential rounds, double-buffered through `cur`/`next` with all
-        // curve temporaries drawn from the scratch arena. Bounds stay in
-        // SoA layout across rounds — the policies' `service_bounds_soa_into`
-        // reads and writes the flat arrays directly.
+    {
         let LoopWorkspace {
             scratch,
             workload,
-            workload_soa,
             policy,
             tau,
             weight,
@@ -335,6 +263,8 @@ fn analyze_seeded_in(
             next,
             stale,
             changed,
+            hp_lower: hp_lower_buf,
+            hp_upper: hp_upper_buf,
             ..
         } = &mut *ws;
         stale.clear();
@@ -343,43 +273,42 @@ fn analyze_seeded_in(
         changed.resize(n, false);
         for _round in 0..max_rounds {
             let mut any_changed = false;
-            {
-                let mut hp_lower: Vec<&SoaCurve> = Vec::new();
-                let mut hp_upper: Vec<&SoaCurve> = Vec::new();
-                for i in 0..n {
-                    if !stale[i] {
-                        changed[i] = false;
-                        next[i].lower.copy_from(&cur[i].lower);
-                        next[i].upper.copy_from(&cur[i].upper);
-                        continue;
-                    }
-                    hp_lower.clear();
-                    hp_upper.clear();
-                    for &h in &hp_flat[hp_start[i]..hp_start[i + 1]] {
-                        hp_lower.push(&cur[h].lower);
-                        hp_upper.push(&cur[h].upper);
-                    }
-                    policy[i].service_bounds_soa_into(
-                        &SoaBoundsInputs {
-                            workload: &workload_soa[i],
-                            workload_aos: &workload[i],
-                            tau: tau[i],
-                            weight: weight[i],
-                            blocking: blocking[i],
-                            hp_lower: &hp_lower,
-                            hp_upper: &hp_upper,
-                            variant: cfg.spnp_availability,
-                            ctx: ctxs.get(ProcessorId(processor[i])),
-                            horizon,
-                            processor: ProcessorId(processor[i]),
-                        },
-                        scratch,
-                        &mut next[i],
-                    )?;
-                    changed[i] = next[i] != cur[i];
-                    any_changed |= changed[i];
+            let mut hp_lower = rebind(std::mem::take(hp_lower_buf));
+            let mut hp_upper = rebind(std::mem::take(hp_upper_buf));
+            for i in 0..n {
+                if !stale[i] {
+                    changed[i] = false;
+                    next[i].lower.copy_from(&cur[i].lower);
+                    next[i].upper.copy_from(&cur[i].upper);
+                    continue;
                 }
+                hp_lower.clear();
+                hp_upper.clear();
+                for &h in &hp_flat[hp_start[i]..hp_start[i + 1]] {
+                    hp_lower.push(&cur[h].lower);
+                    hp_upper.push(&cur[h].upper);
+                }
+                policy[i].service_bounds_soa_into(
+                    &SoaBoundsInputs {
+                        workload: &workload[i],
+                        tau: tau[i],
+                        weight: weight[i],
+                        blocking: blocking[i],
+                        hp_lower: &hp_lower,
+                        hp_upper: &hp_upper,
+                        variant: cfg.spnp_availability,
+                        ctx: ctxs.get(ProcessorId(processor[i])),
+                        horizon,
+                        processor: ProcessorId(processor[i]),
+                    },
+                    scratch,
+                    &mut next[i],
+                )?;
+                changed[i] = next[i] != cur[i];
+                any_changed |= changed[i];
             }
+            *hp_lower_buf = rebind(hp_lower);
+            *hp_upper_buf = rebind(hp_upper);
             std::mem::swap(cur, next);
             if !any_changed {
                 break;
@@ -390,85 +319,6 @@ fn analyze_seeded_in(
                     .iter()
                     .any(|&h| changed[h]);
             }
-        }
-    } else {
-        // Parallel rounds: detach the round inputs from the workspace and
-        // fan each sweep out over the persistent pool. This path runs on
-        // the retained AoS kernels (it is the oracle the SoA rounds are
-        // pinned against by `sequential_and_parallel_agree`), converting
-        // the SoA iterates at entry and exit.
-        let nodes: Vec<RoundNode> = (0..n)
-            .map(|i| RoundNode {
-                workload: ws.workload[i].clone(),
-                hp: ws.plan.hp_flat[ws.plan.hp_start[i]..ws.plan.hp_start[i + 1]].to_vec(),
-                policy: ws.policy[i],
-                processor: ws.processor[i],
-                tau: ws.tau[i],
-                weight: ws.weight[i],
-                blocking: ws.blocking[i],
-            })
-            .collect();
-        let ctx = Arc::new(RoundCtx {
-            nodes,
-            ctxs,
-            avail: cfg.spnp_availability,
-            horizon,
-        });
-        let mut bounds: Vec<ServiceBounds> = ws.cur[..n].iter().map(|b| b.to_bounds()).collect();
-        let mut stale: Vec<bool> = vec![true; n];
-        for _round in 0..max_rounds {
-            let prev = Arc::new(std::mem::take(&mut bounds));
-            let results: Vec<Option<Result<ServiceBounds, AnalysisError>>> = {
-                let ctx = Arc::clone(&ctx);
-                let prev = Arc::clone(&prev);
-                let stale = Arc::new(stale.clone());
-                crate::par::pool_map(prev.len(), move |i| {
-                    if !stale[i] {
-                        return None;
-                    }
-                    let node = &ctx.nodes[i];
-                    let hp_lower: Vec<&Curve> = node.hp.iter().map(|&h| &prev[h].lower).collect();
-                    let hp_upper: Vec<&Curve> = node.hp.iter().map(|&h| &prev[h].upper).collect();
-                    Some(node.policy.service_bounds(&BoundsInputs {
-                        workload: &node.workload,
-                        tau: node.tau,
-                        weight: node.weight,
-                        blocking: node.blocking,
-                        hp_lower: &hp_lower,
-                        hp_upper: &hp_upper,
-                        variant: ctx.avail,
-                        ctx: ctx.ctxs.get(ProcessorId(node.processor)),
-                        horizon: ctx.horizon,
-                        processor: ProcessorId(node.processor),
-                    }))
-                })
-            };
-            let mut changed_now = vec![false; prev.len()];
-            let mut any_changed = false;
-            bounds = Vec::with_capacity(prev.len());
-            for (i, res) in results.into_iter().enumerate() {
-                match res {
-                    Some(nb) => {
-                        let nb = nb?;
-                        if nb != prev[i] {
-                            changed_now[i] = true;
-                            any_changed = true;
-                        }
-                        bounds.push(nb);
-                    }
-                    None => bounds.push(prev[i].clone()),
-                }
-            }
-            if !any_changed {
-                break;
-            }
-            any_change_ever = true;
-            for (i, s) in stale.iter_mut().enumerate() {
-                *s = ctx.nodes[i].hp.iter().any(|&h| changed_now[h]);
-            }
-        }
-        for (i, b) in bounds.into_iter().enumerate() {
-            ws.cur[i].copy_from_bounds(&b);
         }
     }
 
@@ -481,17 +331,12 @@ fn analyze_seeded_in(
         let mut hop_delays = Vec::with_capacity(job.subjobs.len());
         for j in 0..job.subjobs.len() {
             let i = ws.plan.job_start[k] + j;
-            // SoA sweep: the converged lower bound is already SoA, so the
-            // departure extraction and the Eq. 12 cursor walk run on the
-            // flat arrays with no conversion at all.
-            ws.cur[i].lower.floor_div_into(
-                job.subjobs[j].exec.ticks(),
-                horizon,
-                &mut ws.dep_soa,
-            )?;
+            ws.cur[i]
+                .lower
+                .floor_div_into(job.subjobs[j].exec.ticks(), horizon, &mut ws.dep)?;
             hop_delays.push(crate::bounds::hop_delay_soa(
                 &ws.arr_env[i],
-                &ws.dep_soa,
+                &ws.dep,
                 n_instances,
             ));
         }
@@ -682,28 +527,5 @@ mod tests {
         let cold = analyze_with_loops(&sys, &other, 16).unwrap();
         let (warm, _) = analyze_with_loops_seeded(&sys, &other, 16, Some(&seed)).unwrap();
         assert_eq!(format!("{cold}"), format!("{warm}"));
-    }
-
-    /// The sequential in-workspace path and the pool-dispatched path are
-    /// the same analysis: bit-identical reports and seed curves.
-    #[test]
-    fn sequential_and_parallel_agree() {
-        let run = |threshold: usize, seed: Option<&LoopSeed>, rounds: usize| {
-            let sys = looped_system();
-            let cfg = AnalysisConfig::default();
-            let mut ws = LoopWorkspace::default();
-            analyze_seeded_in(&sys, &cfg, rounds, seed, &mut ws, threshold).unwrap()
-        };
-        let (seq, seq_seed) = run(usize::MAX, None, 8);
-        let (par, par_seed) = run(0, None, 8);
-        assert_eq!(format!("{seq}"), format!("{par}"));
-        for (a, b) in seq_seed.bounds.iter().zip(par_seed.bounds.iter()) {
-            assert_eq!(a.lower, b.lower);
-            assert_eq!(a.upper, b.upper);
-        }
-        // Warm runs agree too.
-        let (seq_w, _) = run(usize::MAX, Some(&seq_seed), 1);
-        let (par_w, _) = run(0, Some(&par_seed), 1);
-        assert_eq!(format!("{seq_w}"), format!("{par_w}"));
     }
 }

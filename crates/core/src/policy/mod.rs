@@ -120,17 +120,9 @@ pub struct BoundsInputs<'a> {
 /// The inputs of one [`ServicePolicy::service_bounds_soa_into`]
 /// evaluation — [`BoundsInputs`] with the curves in structure-of-arrays
 /// layout (DESIGN.md §4g).
-///
-/// `workload_aos` carries the same curve as `workload` in AoS form: the
-/// fixpoint drivers keep both (the AoS copy is built once at model
-/// ingest), so policies falling back on the AoS kernels — the default
-/// implementation, FCFS's context path — never pay a per-round
-/// conversion of the workload.
 pub struct SoaBoundsInputs<'a> {
     /// The subjob's (upper-bounded) workload `c̄ = f̄_arr · τ`.
     pub workload: &'a SoaCurve,
-    /// The same workload in AoS layout (ingest-time conversion).
-    pub workload_aos: &'a Curve,
     /// The subjob's execution time `τ`.
     pub tau: Time,
     /// The subjob's round-robin weight (1 unless assigned).
@@ -204,29 +196,13 @@ pub trait ServicePolicy: Send + Sync {
     /// Lower/upper service bounds for one subjob — the policy kernel.
     fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError>;
 
-    /// [`ServicePolicy::service_bounds`] writing into a caller-provided
-    /// [`ServiceBounds`], drawing temporaries from `scratch` — the
-    /// zero-allocation entry the fixpoint driver's warm path uses.
+    /// [`ServicePolicy::service_bounds`] with every curve in
+    /// structure-of-arrays layout, writing into a caller-provided pair and
+    /// drawing temporaries from `scratch` — the entry the fixpoint rounds
+    /// and the bounds pass call (DESIGN.md §4g). Results must convert
+    /// bit-identically to [`ServicePolicy::service_bounds`].
     ///
-    /// The default delegates to the allocating kernel (correct for every
-    /// policy); disciplines with hot `_into` kernels override it. Results
-    /// must be bit-identical to [`ServicePolicy::service_bounds`].
-    fn service_bounds_into(
-        &self,
-        inputs: &BoundsInputs<'_>,
-        _scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        *out = self.service_bounds(inputs)?;
-        Ok(())
-    }
-
-    /// [`ServicePolicy::service_bounds_into`] with every curve in
-    /// structure-of-arrays layout — the entry the SoA fixpoint rounds call
-    /// (DESIGN.md §4g). Results must convert bit-identically to
-    /// [`ServicePolicy::service_bounds`].
-    ///
-    /// The default converts at the boundary and delegates to the AoS
+    /// The default converts at the boundary and calls the allocating
     /// kernel — correct for every policy, and cheap for disciplines whose
     /// bounds take no cross-round inputs (FCFS, IWRR: computed once per
     /// analysis, never re-evaluated on warm rounds). Disciplines with
@@ -234,15 +210,16 @@ pub trait ServicePolicy: Send + Sync {
     fn service_bounds_soa_into(
         &self,
         inputs: &SoaBoundsInputs<'_>,
-        scratch: &mut Scratch,
+        _scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
+        let workload = inputs.workload.to_curve();
         let hp_lower: Vec<Curve> = inputs.hp_lower.iter().map(|c| c.to_curve()).collect();
         let hp_upper: Vec<Curve> = inputs.hp_upper.iter().map(|c| c.to_curve()).collect();
         let hp_lo_refs: Vec<&Curve> = hp_lower.iter().collect();
         let hp_up_refs: Vec<&Curve> = hp_upper.iter().collect();
-        let aos_inputs = BoundsInputs {
-            workload: inputs.workload_aos,
+        let bounds = self.service_bounds(&BoundsInputs {
+            workload: &workload,
             tau: inputs.tau,
             weight: inputs.weight,
             blocking: inputs.blocking,
@@ -252,18 +229,9 @@ pub trait ServicePolicy: Send + Sync {
             ctx: inputs.ctx,
             horizon: inputs.horizon,
             processor: inputs.processor,
-        };
-        let mut tmp = ServiceBounds {
-            lower: scratch.take_curve(),
-            upper: scratch.take_curve(),
-        };
-        let r = self.service_bounds_into(&aos_inputs, scratch, &mut tmp);
-        if r.is_ok() {
-            out.copy_from_bounds(&tmp);
-        }
-        scratch.put_curve(tmp.lower);
-        scratch.put_curve(tmp.upper);
-        r
+        })?;
+        out.copy_from_bounds(&bounds);
+        Ok(())
     }
 
     /// A fresh event-engine scheduler for one processor running this

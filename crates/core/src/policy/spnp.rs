@@ -6,9 +6,7 @@
 use super::spp::PrioritySim;
 use super::{BoundsInputs, PeerInputs, ServicePolicy, SimScheduler, SoaBoundsInputs};
 use crate::error::AnalysisError;
-use crate::spnp::{
-    spnp_bounds, spnp_bounds_into, spnp_bounds_soa_into, ServiceBounds, SoaServiceBounds,
-};
+use crate::spnp::{spnp_bounds, spnp_bounds_soa_into, ServiceBounds, SoaServiceBounds};
 use rta_curves::{Scratch, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
@@ -35,24 +33,6 @@ impl ServicePolicy for SpnpPolicy {
             inputs.hp_upper,
             inputs.blocking,
             inputs.variant,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_into(
-        &self,
-        inputs: &BoundsInputs<'_>,
-        scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        spnp_bounds_into(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-            scratch,
-            out,
         )
         .map_err(AnalysisError::from)
     }

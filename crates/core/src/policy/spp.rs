@@ -10,8 +10,7 @@ use super::{
     SoaBoundsInputs,
 };
 use crate::error::AnalysisError;
-use crate::spnp::SoaServiceBounds;
-use crate::spnp::{spnp_bounds, spnp_bounds_into, spnp_bounds_soa_into, ServiceBounds};
+use crate::spnp::{spnp_bounds, spnp_bounds_soa_into, ServiceBounds, SoaServiceBounds};
 use rta_curves::{Curve, Scratch};
 use rta_model::{ProcessorId, SchedulerKind, TaskSystem};
 
@@ -46,24 +45,6 @@ impl ServicePolicy for SppPolicy {
             inputs.hp_upper,
             inputs.blocking,
             inputs.variant,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_into(
-        &self,
-        inputs: &BoundsInputs<'_>,
-        scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        spnp_bounds_into(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-            scratch,
-            out,
         )
         .map_err(AnalysisError::from)
     }

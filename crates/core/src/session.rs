@@ -587,7 +587,7 @@ impl AnalysisSession {
             Oracle::Bounds => {
                 let cfg = self.config();
                 self.stats.analyses += 1;
-                crate::bounds::analyze_bounds(&self.current, &cfg)?.all_schedulable()
+                crate::bounds::bounds_schedulable(&self.current, &cfg)?
             }
             Oracle::Loops { max_rounds } => self.analyze_with_loops(max_rounds)?.all_schedulable(),
         };

@@ -37,17 +37,6 @@ pub struct ServiceBounds {
     pub upper: Curve,
 }
 
-impl ServiceBounds {
-    /// The information-free bracket `[0, 0]` — a placeholder whose buffers
-    /// the `_into` drivers overwrite.
-    pub fn zeroed() -> ServiceBounds {
-        ServiceBounds {
-            lower: Curve::zero(),
-            upper: Curve::zero(),
-        }
-    }
-}
-
 impl PartialEq for ServiceBounds {
     fn eq(&self, other: &ServiceBounds) -> bool {
         self.lower == other.lower && self.upper == other.upper
@@ -56,8 +45,8 @@ impl PartialEq for ServiceBounds {
 impl Eq for ServiceBounds {}
 
 /// [`ServiceBounds`] in structure-of-arrays layout — the working
-/// representation of the fixpoint drivers' warm path (DESIGN.md §4g). The
-/// SoA kernels are segment-identical to their AoS oracles, so a
+/// representation of both bounds drivers (DESIGN.md §4g). The SoA
+/// kernels are segment-identical to their AoS oracles, so a
 /// `SoaServiceBounds` and the `ServiceBounds` it converts to/from always
 /// describe the same pair of curves.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -70,7 +59,7 @@ pub struct SoaServiceBounds {
 
 impl SoaServiceBounds {
     /// The information-free bracket `[0, 0]` — a placeholder whose buffers
-    /// the `_into` drivers overwrite.
+    /// the drivers overwrite.
     pub fn zeroed() -> SoaServiceBounds {
         SoaServiceBounds {
             lower: SoaCurve::zero(),
@@ -84,17 +73,12 @@ impl SoaServiceBounds {
         self.upper.copy_from_curve(&src.upper);
     }
 
-    /// Convert back to AoS, reusing `out`'s segment buffers.
-    pub fn write_to_bounds(&self, out: &mut ServiceBounds) {
-        self.lower.write_to_curve(&mut out.lower);
-        self.upper.write_to_curve(&mut out.upper);
-    }
-
     /// Convert back to AoS, allocating.
     pub fn to_bounds(&self) -> ServiceBounds {
-        let mut out = ServiceBounds::zeroed();
-        self.write_to_bounds(&mut out);
-        out
+        ServiceBounds {
+            lower: self.lower.to_curve(),
+            upper: self.upper.to_curve(),
+        }
     }
 }
 
@@ -112,6 +96,10 @@ impl SoaServiceBounds {
 /// bound of a nondecreasing function; likewise the upper bound can only be
 /// loosened).
 ///
+/// This allocating chain is the reference the native SoA chain
+/// ([`spnp_bounds_soa_into`]) is pinned segment-identical to; the
+/// operation sequence is documented step by step there.
+///
 /// Errors with [`CurveError::MismatchedLengths`] when the peer bound
 /// slices cannot be paired — a caller bug that would otherwise silently
 /// drop interference.
@@ -122,65 +110,63 @@ pub fn spnp_bounds(
     blocking: Time,
     variant: SpnpAvailability,
 ) -> Result<ServiceBounds, CurveError> {
-    let mut scratch = Scratch::new();
-    let mut out = ServiceBounds::zeroed();
-    spnp_bounds_into(
-        workload_upper,
-        hp_lower,
-        hp_upper,
-        blocking,
-        variant,
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(out)
-}
+    if hp_lower.len() != hp_upper.len() {
+        return Err(CurveError::MismatchedLengths {
+            left: hp_lower.len(),
+            right: hp_upper.len(),
+        });
+    }
+    let b = blocking;
+    let id = Curve::identity();
+    let c_prev = workload_upper.shift_right(Time::ONE, 0);
+    let sum = |curves: &[&Curve]| curves.iter().fold(Curve::zero(), |acc, c| acc.add(c));
+    let (hp_lo_sum, hp_up_sum) = (sum(hp_lower), sum(hp_upper));
+    // The interference both bounds charge: `ΣS̲_h` as printed, `ΣS̄_h` in
+    // the conservative reading.
+    let hp_charged = match variant {
+        SpnpAvailability::AsPrinted => &hp_lo_sum,
+        SpnpAvailability::Conservative => &hp_up_sum,
+    };
 
-/// The full Theorem 5/6 chain on the structure-of-arrays kernels with AoS
-/// operands and results — a conversion wrapper around
-/// [`spnp_bounds_soa_into`], pinned segment-identical to the production
-/// AoS chain by the `soa_chain_matches_aos_oracle` test. The warm fixpoint
-/// path calls the native-SoA kernel directly and never pays this
-/// boundary; the wrapper is kept so the AoS↔SoA conversion overhead stays
-/// measurable (the bench suite's `aos/*` vs `soa/*` rows) and correct.
-pub fn spnp_bounds_into_soa(
-    workload_upper: &Curve,
-    hp_lower: &[&Curve],
-    hp_upper: &[&Curve],
-    blocking: Time,
-    variant: SpnpAvailability,
-    scratch: &mut Scratch,
-    out: &mut ServiceBounds,
-) -> Result<(), CurveError> {
-    let mut w = scratch.take_soa();
-    w.copy_from_curve(workload_upper);
-    let hp_lo: Vec<SoaCurve> = hp_lower.iter().map(|c| SoaCurve::from_curve(c)).collect();
-    let hp_up: Vec<SoaCurve> = hp_upper.iter().map(|c| SoaCurve::from_curve(c)).collect();
-    let hp_lo_refs: Vec<&SoaCurve> = hp_lo.iter().collect();
-    let hp_up_refs: Vec<&SoaCurve> = hp_up.iter().collect();
-    let mut soa_out = SoaServiceBounds::zeroed();
-    let r = spnp_bounds_soa_into(
-        &w,
-        &hp_lo_refs,
-        &hp_up_refs,
-        blocking,
-        variant,
-        scratch,
-        &mut soa_out,
-    );
-    scratch.put_soa(w);
-    r?;
-    soa_out.write_to_bounds(out);
-    Ok(())
+    // Theorem 6 upper bound (no blocking in an upper bound).
+    let s_part_up = c_prev.add(hp_charged).sub(&id);
+    let upper = id
+        .sub(&hp_lo_sum)
+        .add(&s_part_up.running_min())
+        .min_with(workload_upper)
+        .min_with(&id)
+        .clamp_min(0)
+        .running_max();
+
+    // Theorem 5 lower bound.
+    let t_part_lo = id.add_const(-b.ticks()).sub(hp_charged);
+    let s_avail = match variant {
+        SpnpAvailability::AsPrinted => t_part_lo.mask_before(b + Time::ONE, 0),
+        SpnpAvailability::Conservative => id.sub(&hp_lo_sum),
+    };
+    let run = c_prev.sub(&s_avail).running_min();
+    let lower = t_part_lo
+        .mask_before(b + Time::ONE, 0)
+        .add(&run.shift_right(b, run.eval(Time::ZERO)))
+        .min_with(workload_upper)
+        .mask_before(b + Time::ONE, 0)
+        .clamp_min(0)
+        .min_with(&id)
+        .running_max();
+
+    // Clipping can reorder the raw curves in degenerate spots.
+    let upper = upper.max_with(&lower);
+    Ok(ServiceBounds { lower, upper })
 }
 
 /// The native structure-of-arrays Theorem 5/6 chain: SoA operands in, SoA
 /// bounds out, every intermediate drawn from `scratch` — the kernel behind
 /// [`crate::policy::ServicePolicy::service_bounds_soa_into`] for SPP/SPNP
-/// and the one the warm fixpoint rounds run on (DESIGN.md §4g). The
-/// operation sequence is step-for-step the one documented in
-/// [`spnp_bounds_into`]; with segment-identical kernels on both sides the
-/// results are bit-identical after conversion.
+/// and the one the fixpoint rounds and the bounds pass run on (DESIGN.md
+/// §4g). It computes the operation sequence of the allocating
+/// [`spnp_bounds`], with the identity-line terms fused into the merges;
+/// with segment-identical kernels on both sides the results are
+/// bit-identical after conversion.
 #[allow(clippy::many_single_char_names)]
 pub fn spnp_bounds_soa_into(
     workload_upper: &SoaCurve,
@@ -289,96 +275,39 @@ pub fn spnp_bounds_soa_into(
     Ok(())
 }
 
-/// [`spnp_bounds`] writing into a caller-provided [`ServiceBounds`], with
-/// every intermediate curve drawn from `scratch`'s pool — the
-/// zero-allocation kernel behind the fixpoint driver's warm path. The
-/// SoA port of this chain ([`spnp_bounds_into_soa`]) is pinned
-/// segment-identical by unit tests. On error `out` is left in an
-/// unspecified (but valid) state.
-#[allow(clippy::many_single_char_names)]
-pub fn spnp_bounds_into(
-    workload_upper: &Curve,
-    hp_lower: &[&Curve],
-    hp_upper: &[&Curve],
-    blocking: Time,
-    variant: SpnpAvailability,
-    scratch: &mut Scratch,
-    out: &mut ServiceBounds,
-) -> Result<(), CurveError> {
-    if hp_lower.len() != hp_upper.len() {
-        return Err(CurveError::MismatchedLengths {
-            left: hp_lower.len(),
-            right: hp_upper.len(),
-        });
-    }
-    let b = blocking;
-    let mut id = scratch.take_curve();
-    let mut c_prev = scratch.take_curve();
-    let mut hp_lo_sum = scratch.take_curve();
-    let mut hp_up_sum = scratch.take_curve();
-    let mut up = scratch.take_curve();
-    let mut s_avail = scratch.take_curve();
-    let mut t1 = scratch.take_curve();
-    let mut t2 = scratch.take_curve();
-    let mut t3 = scratch.take_curve();
-
-    id.set_affine(0, 1);
-    workload_upper.shift_right_into(Time::ONE, 0, &mut c_prev);
-    for (sum, curves) in [(&mut hp_lo_sum, hp_lower), (&mut hp_up_sum, hp_upper)] {
-        sum.set_affine(0, 0);
-        for c in curves {
-            sum.add_into(c, &mut t1);
-            std::mem::swap(sum, &mut t1);
-        }
-    }
-
-    // Theorem 6 upper bound, then Theorem 5 lower bound — the operation
-    // sequence is documented step by step in the SoA port above.
-    id.sub_into(&hp_lo_sum, &mut t1);
-    match variant {
-        SpnpAvailability::AsPrinted => c_prev.add_into(&hp_lo_sum, &mut t2),
-        SpnpAvailability::Conservative => c_prev.add_into(&hp_up_sum, &mut t2),
-    }
-    t2.sub_into(&id, &mut t3);
-    t3.running_min_into(&mut t2);
-    t1.add_into(&t2, &mut t3);
-    t3.min_with_into(workload_upper, &mut t1);
-    t1.min_with_into(&id, &mut t2);
-    t2.clamp_min_into(0, &mut t3);
-    t3.running_max_into(&mut up);
-
-    id.add_const_into(-b.ticks(), &mut t1);
-    match variant {
-        SpnpAvailability::AsPrinted => t1.sub_into(&hp_lo_sum, &mut t2),
-        SpnpAvailability::Conservative => t1.sub_into(&hp_up_sum, &mut t2),
-    }
-    match variant {
-        SpnpAvailability::AsPrinted => t2.mask_before_into(b + Time::ONE, 0, &mut s_avail),
-        SpnpAvailability::Conservative => id.sub_into(&hp_lo_sum, &mut s_avail),
-    }
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1);
-    c_prev.sub_into(&s_avail, &mut t2);
-    t2.running_min_into(&mut t3);
-    t3.shift_right_into(b, t3.eval(Time::ZERO), &mut t2);
-    t1.add_into(&t2, &mut t3);
-    t3.min_with_into(workload_upper, &mut t2);
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1);
-    t1.clamp_min_into(0, &mut t2);
-    t2.min_with_into(&id, &mut t3);
-    t3.running_max_into(&mut out.lower);
-
-    up.max_with_into(&out.lower, &mut out.upper);
-
-    for c in [id, c_prev, hp_lo_sum, hp_up_sum, up, s_avail, t1, t2, t3] {
-        scratch.put_curve(c);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spp::exact_service;
+
+    /// The SoA chain behind an AoS boundary: convert the operands, run
+    /// [`spnp_bounds_soa_into`] on the caller's `scratch` and `out`, and
+    /// convert the result back.
+    fn spnp_bounds_via_soa(
+        workload_upper: &Curve,
+        hp_lower: &[&Curve],
+        hp_upper: &[&Curve],
+        blocking: Time,
+        variant: SpnpAvailability,
+        scratch: &mut Scratch,
+        out: &mut SoaServiceBounds,
+    ) -> Result<ServiceBounds, CurveError> {
+        let w = SoaCurve::from_curve(workload_upper);
+        let hp_lo: Vec<SoaCurve> = hp_lower.iter().map(|c| SoaCurve::from_curve(c)).collect();
+        let hp_up: Vec<SoaCurve> = hp_upper.iter().map(|c| SoaCurve::from_curve(c)).collect();
+        let hp_lo_refs: Vec<&SoaCurve> = hp_lo.iter().collect();
+        let hp_up_refs: Vec<&SoaCurve> = hp_up.iter().collect();
+        spnp_bounds_soa_into(
+            &w,
+            &hp_lo_refs,
+            &hp_up_refs,
+            blocking,
+            variant,
+            scratch,
+            out,
+        )?;
+        Ok(out.to_bounds())
+    }
 
     fn check_sane(b: &ServiceBounds, horizon: i64) {
         for t in 0..=horizon {
@@ -499,33 +428,28 @@ mod tests {
 
     #[test]
     fn soa_chain_matches_aos_oracle() {
-        // The retained SoA chain must stay segment-identical to the
-        // production AoS chain — same ops, ported kernels — across
-        // variants, blocking values, and repeated calls on one warm
-        // scratch.
+        // The production SoA chain must stay segment-identical to the
+        // allocating AoS chain — same ops, ported kernels — across
+        // variants, blocking values, peer counts, and repeated calls on
+        // one warm scratch and output pair.
         let hp_c = Curve::from_event_times(&[Time(0), Time(6), Time(11)]).scale(3);
         let c = Curve::from_event_times(&[Time(0), Time(8)]).scale(4);
+        let hp = spnp_bounds(&hp_c, &[], &[], Time(2), SpnpAvailability::Conservative).unwrap();
         let mut scratch = Scratch::new();
-        let mut hp = ServiceBounds::zeroed();
-        spnp_bounds_into(
-            &hp_c,
-            &[],
-            &[],
-            Time(2),
-            SpnpAvailability::Conservative,
-            &mut scratch,
-            &mut hp,
-        )
-        .unwrap();
-        let mut soa = ServiceBounds::zeroed();
-        let mut aos = ServiceBounds::zeroed();
+        let mut out = SoaServiceBounds::zeroed();
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
             for b in [Time::ZERO, Time(2), Time(7)] {
-                let hp_lo: &[&Curve] = &[&hp.lower];
-                let hp_up: &[&Curve] = &[&hp.upper];
-                spnp_bounds_into_soa(&c, hp_lo, hp_up, b, variant, &mut scratch, &mut soa).unwrap();
-                spnp_bounds_into(&c, hp_lo, hp_up, b, variant, &mut scratch, &mut aos).unwrap();
-                assert_eq!(soa, aos, "variant={variant:?} b={b}");
+                for (hp_lo, hp_up) in [
+                    (vec![], vec![]),
+                    (vec![&hp.lower], vec![&hp.upper]),
+                    (vec![&hp.lower, &hp_c], vec![&hp.upper, &hp_c]),
+                ] {
+                    let soa =
+                        spnp_bounds_via_soa(&c, &hp_lo, &hp_up, b, variant, &mut scratch, &mut out)
+                            .unwrap();
+                    let aos = spnp_bounds(&c, &hp_lo, &hp_up, b, variant).unwrap();
+                    assert_eq!(soa, aos, "variant={variant:?} b={b} hp={}", hp_lo.len());
+                }
             }
         }
     }

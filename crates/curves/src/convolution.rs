@@ -64,37 +64,25 @@ impl Curve {
 /// not convex; use [`min_plus_convolve_lattice`] for arbitrary curves.
 #[must_use]
 pub fn convolve_convex(f: &Curve, g: &Curve) -> Curve {
-    let mut scratch = Scratch::new();
-    let mut out = Curve::zero();
-    convolve_convex_into(f, g, &mut scratch, &mut out);
-    out
-}
-
-/// [`convolve_convex`] writing into a caller-provided curve; the
-/// `(length, slope)` piece staging lives in `scratch`, so a warm call
-/// allocates nothing.
-pub fn convolve_convex_into(f: &Curve, g: &Curve, scratch: &mut Scratch, out: &mut Curve) {
     debug_assert!(f.is_convex(), "convolve_convex requires convex f");
     debug_assert!(g.is_convex(), "convolve_convex requires convex g");
 
     // Collect finite pieces (length, slope); final pieces are infinite.
-    let pieces = &mut scratch.pieces;
-    pieces.clear();
+    let mut pieces: Vec<(Option<Time>, i64)> = Vec::new();
     for c in [f, g] {
         let segs = c.segments();
         for (i, s) in segs.iter().enumerate() {
             pieces.push((segs.get(i + 1).map(|n| n.start - s.start), s.slope));
         }
     }
-    // Stable sort, f's pieces staged before g's — the same piece order the
-    // allocating implementation always produced.
+    // Stable sort: on equal slopes f's pieces stay ahead of g's.
     pieces.sort_by_key(|&(_, slope)| slope);
 
-    let out_segs = out.begin_write(pieces.len());
+    let mut segs = Vec::with_capacity(pieces.len());
     let mut t = Time::ZERO;
     let mut v = f.eval(Time::ZERO) + g.eval(Time::ZERO);
-    for &(len, slope) in pieces.iter() {
-        push_normalized(out_segs, Segment::new(t, v, slope));
+    for &(len, slope) in &pieces {
+        push_normalized(&mut segs, Segment::new(t, v, slope));
         match len {
             Some(len) => {
                 t += len;
@@ -103,7 +91,7 @@ pub fn convolve_convex_into(f: &Curve, g: &Curve, scratch: &mut Scratch, out: &m
             None => break, // first infinite piece has the smallest remaining slope
         }
     }
-    out.finish_write();
+    Curve::from_pushed(segs)
 }
 
 /// A maximal convex run of a curve: segments covering the half-open time
@@ -226,25 +214,13 @@ fn partial_to_total(p: Partial, horizon: Time) -> Option<Curve> {
 /// O(horizon²) lattice scan, which beats the decomposition in that regime.
 #[must_use]
 pub fn convolve(f: &Curve, g: &Curve, horizon: Time) -> Curve {
-    let mut scratch = Scratch::new();
-    let mut out = Curve::zero();
-    convolve_into(f, g, horizon, &mut scratch, &mut out);
-    out
-}
-
-/// [`convolve`] writing into a caller-provided curve. All three kernels —
-/// the convex fast path, the dense lattice fallback, and the
-/// convex-decomposition path (whose per-pair partials and fold layers are
-/// structure-of-arrays buffers pooled in `scratch`) — run entirely out of
-/// `scratch`, so a warm call performs no heap traffic.
-pub fn convolve_into(f: &Curve, g: &Curve, horizon: Time, scratch: &mut Scratch, out: &mut Curve) {
     assert!(horizon >= Time::ZERO);
     if f.is_convex() && g.is_convex() {
-        convolve_convex_into(f, g, scratch, out);
+        convolve_convex(f, g)
     } else if dense_scan_is_cheaper(f, g, horizon) {
-        min_plus_convolve_lattice_into(f, g, horizon, scratch, out);
+        min_plus_convolve_lattice(f, g, horizon)
     } else {
-        convolve_decomposed_into(f, g, horizon, scratch, out);
+        convolve_decomposed(f, g, horizon)
     }
 }
 
@@ -267,7 +243,7 @@ fn run_starts_within(c: &Curve, horizon: Time) -> Vec<i64> {
 
 /// Cost heuristic for the hybrid dispatch: compare the decomposition's
 /// leaf-and-fold work against the lattice scan's `horizon²` cell sweep,
-/// mirroring which leaf generator [`convolve_decomposed_into`] would pick.
+/// mirroring which leaf generator [`convolve_decomposed`] would pick.
 ///
 /// When the staircase row path applies its work is `R · |other|` (one
 /// shifted copy of the other operand per flat run), so the lattice only
@@ -314,32 +290,18 @@ fn dense_scan_is_cheaper(f: &Curve, g: &Curve, horizon: Time) -> bool {
     h * h < PAIR_VS_CELL * pairs * segs
 }
 
-/// The convex-decomposition convolution kernel behind [`convolve`]: always
-/// takes the pair-merge path regardless of the cost heuristic. Exposed so
-/// benchmarks and oracle tests can pin this path; analysis code should
-/// call [`convolve`]. Delegates to [`convolve_decomposed_into`] on a fresh
-/// scratch; hot callers should hold a warm [`Scratch`] and use the `_into`
-/// variant directly.
-#[must_use]
-pub fn convolve_decomposed(f: &Curve, g: &Curve, horizon: Time) -> Curve {
-    let mut scratch = Scratch::new();
-    let mut out = Curve::zero();
-    convolve_decomposed_into(f, g, horizon, &mut scratch, &mut out);
-    out
-}
-
 /// Convex-run begin indices of a segment list — the index form of
-/// [`convex_runs`], staged in a reusable buffer. Run `k` spans
-/// `segs[out[k]..out[k+1]]` (the last run extends to the end of the list).
-fn run_begins_into(segs: &[Segment], out: &mut Vec<u32>) {
-    out.clear();
-    out.push(0);
+/// [`convex_runs`]. Run `k` spans `segs[out[k]..out[k+1]]` (the last run
+/// extends to the end of the list).
+fn run_begins(segs: &[Segment]) -> Vec<u32> {
+    let mut out = vec![0];
     for i in 1..segs.len() {
         let discontinuous = segs[i - 1].eval(segs[i].start) != segs[i].value;
         if discontinuous || segs[i].slope < segs[i - 1].slope {
             out.push(i as u32);
         }
     }
+    out
 }
 
 /// Min-plus convolution of two convex runs, written as an [`INFTY`]-padded
@@ -495,10 +457,8 @@ fn pair_partials(
 ) {
     let fsegs = f.segments();
     let gsegs = g.segments();
-    let mut rb_f = std::mem::take(&mut scratch.run_bounds_a);
-    let mut rb_g = std::mem::take(&mut scratch.run_bounds_b);
-    run_begins_into(fsegs, &mut rb_f);
-    run_begins_into(gsegs, &mut rb_g);
+    let rb_f = run_begins(fsegs);
+    let rb_g = run_begins(gsegs);
 
     for i in 0..rb_f.len() {
         let f_run = &fsegs[rb_f[i] as usize..rb_f.get(i + 1).map_or(fsegs.len(), |&n| n as usize)];
@@ -527,37 +487,31 @@ fn pair_partials(
             layer.push(p);
         }
     }
-    scratch.run_bounds_a = rb_f;
-    scratch.run_bounds_b = rb_g;
 }
 
-/// [`convolve_decomposed`] writing into a caller-provided curve, with
-/// every leaf partial and both tree-fold layers drawn from `scratch`'s
-/// SoA pool — the allocation-free counterpart of the reference path
-/// ([`convolve_decomposed_reference`]), value-identical to it at every
-/// lattice tick in `[0, horizon]`.
+/// The convex-decomposition convolution kernel behind [`convolve`]: always
+/// takes the pair-merge path regardless of the cost heuristic. Exposed so
+/// benchmarks and oracle tests can pin this path; analysis code should
+/// call [`convolve`]. Every leaf partial and both tree-fold layers are
+/// structure-of-arrays buffers recycled through one call-local
+/// [`Scratch`] pool; the result is value-identical to the reference path
+/// ([`convolve_decomposed_reference`]) at every lattice tick in
+/// `[0, horizon]`.
 ///
 /// Leaves come from one of two generators: when either operand is a
 /// staircase and the other nondecreasing, [`staircase_rows`] emits one
 /// shifted copy of the other curve per flat run; otherwise
 /// [`pair_partials`] emits the classical per-run-pair convex merges
 /// (segment-identical to the reference on that path).
-pub fn convolve_decomposed_into(
-    f: &Curve,
-    g: &Curve,
-    horizon: Time,
-    scratch: &mut Scratch,
-    out: &mut Curve,
-) {
+#[must_use]
+pub fn convolve_decomposed(f: &Curve, g: &Curve, horizon: Time) -> Curve {
     assert!(horizon >= Time::ZERO);
     if f.is_convex() && g.is_convex() {
-        convolve_convex_into(f, g, scratch, out);
-        return;
+        return convolve_convex(f, g);
     }
-    let mut layer = std::mem::take(&mut scratch.fold_layer);
-    let mut spare = std::mem::take(&mut scratch.fold_spare);
-    layer.clear();
-    spare.clear();
+    let scratch = &mut Scratch::new();
+    let mut layer = Vec::new();
+    let mut spare = Vec::new();
 
     if is_staircase(f) && g.is_nondecreasing() {
         staircase_rows(f, g, horizon, scratch, &mut layer);
@@ -598,14 +552,11 @@ pub fn convolve_decomposed_into(
     }
     let mut result = layer.pop().expect("runs cover t = 0");
     result.truncate_after(horizon);
-    result.write_to_curve(out);
-    scratch.put_soa(result);
-    scratch.fold_layer = layer;
-    scratch.fold_spare = spare;
+    result.to_curve()
 }
 
 /// The retained allocating AoS implementation of the decomposition path —
-/// the oracle [`convolve_decomposed_into`] is pinned against (unit tests
+/// the oracle [`convolve_decomposed`] is pinned against (unit tests
 /// here, property tests in `tests/soa_kernels.rs`). Not used on analysis
 /// paths.
 #[must_use]
@@ -657,39 +608,19 @@ pub fn convolve_decomposed_reference(f: &Curve, g: &Curve, horizon: Time) -> Cur
 /// horizon value.
 #[must_use]
 pub fn min_plus_convolve_lattice(f: &Curve, g: &Curve, horizon: Time) -> Curve {
-    let mut scratch = Scratch::new();
-    let mut out = Curve::zero();
-    min_plus_convolve_lattice_into(f, g, horizon, &mut scratch, &mut out);
-    out
-}
-
-/// The dense kernel behind [`min_plus_convolve_lattice`]: samples both
-/// operands into `scratch` and pushes the resulting staircase straight
-/// into `out`.
-fn min_plus_convolve_lattice_into(
-    f: &Curve,
-    g: &Curve,
-    horizon: Time,
-    scratch: &mut Scratch,
-    out: &mut Curve,
-) {
     let h = horizon.ticks();
     assert!(h >= 0);
-    let fv = &mut scratch.values_a;
-    let gv = &mut scratch.values_b;
-    fv.clear();
-    fv.extend((0..=h).map(|t| f.eval(Time(t))));
-    gv.clear();
-    gv.extend((0..=h).map(|t| g.eval(Time(t))));
-    let segs = out.begin_write(h as usize + 1);
+    let fv: Vec<i64> = (0..=h).map(|t| f.eval(Time(t))).collect();
+    let gv: Vec<i64> = (0..=h).map(|t| g.eval(Time(t))).collect();
+    let mut segs = Vec::with_capacity(h as usize + 1);
     for t in 0..=h {
         let mut best = i64::MAX;
         for s in 0..=t {
             best = best.min(fv[s as usize] + gv[(t - s) as usize]);
         }
-        push_normalized(segs, Segment::new(Time(t), best, 0));
+        push_normalized(&mut segs, Segment::new(Time(t), best, 0));
     }
-    out.finish_write();
+    Curve::from_pushed(segs)
 }
 
 #[cfg(test)]
@@ -875,8 +806,7 @@ mod tests {
     fn decomposed_soa_path_matches_reference() {
         // Value-identical to the reference at every lattice tick, across
         // both leaf generators (the staircase row path may normalize to a
-        // different — equivalent — segment structure), repeated calls on
-        // one scratch, and a dirty output buffer.
+        // different — equivalent — segment structure).
         let dense_f =
             Curve::from_event_times(&(0..32).map(|i| Time(i * 10)).collect::<Vec<_>>()).scale(3);
         let dense_g =
@@ -886,19 +816,16 @@ mod tests {
             Segment::new(Time(0), 0, 3),
             Segment::new(Time(4), 12, 1),
         ]);
-        let mut scratch = Scratch::new();
-        let mut out = Curve::affine(-7, 13); // pre-dirtied
         for (f, g, h) in [
             (&dense_f, &dense_g, Time(500)),
             (&sparse, &sparse, Time(25_000)),
             (&dense_f, &concave, Time(400)),
         ] {
-            convolve_decomposed_into(f, g, h, &mut scratch, &mut out);
+            let out = convolve_decomposed(f, g, h);
             let reference = convolve_decomposed_reference(f, g, h);
             for t in 0..=h.ticks() {
                 assert_eq!(out.eval(Time(t)), reference.eval(Time(t)), "t={t} h={h}");
             }
-            assert_eq!(out, convolve_decomposed(f, g, h), "h={h}");
         }
     }
 
@@ -916,11 +843,11 @@ mod tests {
             Segment::new(Time(9), 20, 2),
         ]);
         assert!(!is_staircase(&saw_f) && !is_staircase(&saw_g));
-        let mut scratch = Scratch::new();
-        let mut out = Curve::affine(-7, 13); // pre-dirtied
         let h = Time(60);
-        convolve_decomposed_into(&saw_f, &saw_g, h, &mut scratch, &mut out);
-        assert_eq!(out, convolve_decomposed_reference(&saw_f, &saw_g, h));
+        assert_eq!(
+            convolve_decomposed(&saw_f, &saw_g, h),
+            convolve_decomposed_reference(&saw_f, &saw_g, h)
+        );
     }
 
     #[test]

@@ -15,15 +15,7 @@ impl Curve {
     /// Multiple equal times produce a single multi-unit jump. Panics if the
     /// sequence is unsorted or contains a negative time.
     pub fn from_event_times(times: &[Time]) -> Curve {
-        let mut out = Curve::zero();
-        Curve::from_event_times_into(times, &mut out);
-        out
-    }
-
-    /// [`Curve::from_event_times`] writing into a caller-provided curve,
-    /// reusing its segment buffer.
-    pub fn from_event_times_into(times: &[Time], out: &mut Curve) {
-        let segs = out.begin_write(times.len() + 1);
+        let mut segs = Vec::with_capacity(times.len() + 1);
         segs.push(Segment::new(Time::ZERO, 0, 0));
         let mut count: i64 = 0;
         let mut i = 0;
@@ -45,7 +37,7 @@ impl Curve {
             }
             i = j;
         }
-        out.finish_write();
+        Curve::from_pushed(segs)
     }
 
     /// Release/completion time of the `m`-th event (`m ≥ 1`): the

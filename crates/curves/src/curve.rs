@@ -95,14 +95,6 @@ impl Curve {
         Curve::affine(0, 1)
     }
 
-    /// Overwrite `self` with the affine curve `v0 + slope · t`, reusing the
-    /// segment buffer — the in-place counterpart of [`Curve::affine`].
-    pub fn set_affine(&mut self, v0: i64, slope: i64) {
-        let segs = self.begin_write(1);
-        segs.push(Segment::new(Time::ZERO, v0, slope));
-        self.finish_write();
-    }
-
     /// A pure step function from `(time, cumulative value)` breakpoints:
     /// `f(t)` equals the value of the latest breakpoint at or before `t`, and
     /// `before` prior to the first breakpoint. Breakpoints must be sorted by
@@ -234,25 +226,16 @@ impl Curve {
     /// `g(t) = f(t − d)` for `t ≥ d`, `g(t) = fill` for `t < d`.
     #[must_use = "shift_right returns a new curve without modifying the input"]
     pub fn shift_right(&self, d: Time, fill: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.shift_right_into(d, fill, &mut out);
-        out
-    }
-
-    /// [`Curve::shift_right`] writing into a caller-provided curve, reusing
-    /// its segment buffer.
-    pub fn shift_right_into(&self, d: Time, fill: i64, out: &mut Curve) {
         assert!(d >= Time::ZERO, "shift_right requires d >= 0");
         if d == Time::ZERO {
-            out.copy_from(self);
-            return;
+            return self.clone();
         }
-        let segs = out.begin_write(self.segs.len() + 1);
-        push_normalized(segs, Segment::new(Time::ZERO, fill, 0));
+        let mut segs = Vec::with_capacity(self.segs.len() + 1);
+        push_normalized(&mut segs, Segment::new(Time::ZERO, fill, 0));
         for s in &self.segs {
-            push_normalized(segs, Segment::new(s.start + d, s.value, s.slope));
+            push_normalized(&mut segs, Segment::new(s.start + d, s.value, s.slope));
         }
-        out.finish_write();
+        Curve::from_pushed(segs)
     }
 
     /// Replace the prefix `[0, t0)` with the constant `fill`, keeping the
@@ -260,29 +243,20 @@ impl Curve {
     /// (Equation 17) is zero during the maximal blocking interval.
     #[must_use = "mask_before returns a new curve without modifying the input"]
     pub fn mask_before(&self, t0: Time, fill: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.mask_before_into(t0, fill, &mut out);
-        out
-    }
-
-    /// [`Curve::mask_before`] writing into a caller-provided curve, reusing
-    /// its segment buffer.
-    pub fn mask_before_into(&self, t0: Time, fill: i64, out: &mut Curve) {
         if t0 <= Time::ZERO {
-            out.copy_from(self);
-            return;
+            return self.clone();
         }
         let i = self.seg_index(t0);
         let at = self.segs[i].eval(t0);
         let slope = self.segs[i].slope;
         let tail = &self.segs[i + 1..];
-        let segs = out.begin_write(tail.len() + 2);
-        push_normalized(segs, Segment::new(Time::ZERO, fill, 0));
-        push_normalized(segs, Segment::new(t0, at, slope));
+        let mut segs = Vec::with_capacity(tail.len() + 2);
+        push_normalized(&mut segs, Segment::new(Time::ZERO, fill, 0));
+        push_normalized(&mut segs, Segment::new(t0, at, slope));
         for s in tail {
-            push_normalized(segs, *s);
+            push_normalized(&mut segs, *s);
         }
-        out.finish_write();
+        Curve::from_pushed(segs)
     }
 
     /// Drop all breakpoints strictly after `horizon`, extending the piece
@@ -294,21 +268,6 @@ impl Curve {
         Curve {
             segs: self.segs[..=i].to_vec(),
         }
-    }
-
-    /// [`Curve::truncate_after`] writing into a caller-provided curve,
-    /// reusing its segment buffer.
-    pub fn truncate_after_into(&self, horizon: Time, out: &mut Curve) {
-        let i = self.seg_index(horizon.max(Time::ZERO));
-        out.segs.clear();
-        out.segs.extend_from_slice(&self.segs[..=i]);
-    }
-
-    /// Overwrite this curve with a copy of `src`, reusing the existing
-    /// segment buffer (no allocation when capacity suffices).
-    pub fn copy_from(&mut self, src: &Curve) {
-        self.segs.clear();
-        self.segs.extend_from_slice(&src.segs);
     }
 
     /// Sample the curve at every integer tick in `[from, to]` (inclusive) —
@@ -354,6 +313,16 @@ impl Curve {
         debug_assert!(segs.windows(2).all(|w| w[0].start < w[1].start));
         let mut c = Curve { segs };
         c.normalize();
+        c.finish_write();
+        c
+    }
+
+    /// Wrap a segment list written through [`push_normalized`] — strictly
+    /// increasing starts beginning at [`Time::ZERO`], already normalized —
+    /// debug-checking the invariants exactly as [`Curve::finish_write`]
+    /// does.
+    pub(crate) fn from_pushed(segs: Vec<Segment>) -> Curve {
+        let mut c = Curve { segs };
         c.finish_write();
         c
     }

@@ -21,15 +21,18 @@
 
 use crate::{Curve, Segment, Time};
 
-/// [`arrival_envelope`] writing into a caller-provided curve, reusing its
-/// segment buffer.
-pub fn arrival_envelope_into(times: &[Time], out: &mut Curve) {
+/// The minimal sliding-window arrival envelope of a sorted trace:
+/// `α(Δ) = max_t #{ i : t ≤ times[i] ≤ t + Δ }`, returned as a staircase
+/// curve over window length `Δ` (so `α(0)` is the largest simultaneous
+/// burst).
+///
+/// `O(n²)` over the trace length — envelopes are extracted once per trace,
+/// not in analysis inner loops.
+#[must_use]
+pub fn arrival_envelope(times: &[Time]) -> Curve {
     let n = times.len();
-    let segs = out.begin_write(n + 1);
     if n == 0 {
-        segs.push(Segment::new(Time::ZERO, 0, 0));
-        out.finish_write();
-        return;
+        return Curve::zero();
     }
     debug_assert!(
         times.windows(2).all(|w| w[0] <= w[1]),
@@ -41,6 +44,7 @@ pub fn arrival_envelope_into(times: &[Time], out: &mut Curve) {
     // count per distinct window length. w_min(0) = 0, so the first segment
     // sits at Δ = 0 and counts strictly increase — the pushes are already
     // a normalized staircase.
+    let mut segs: Vec<Segment> = Vec::with_capacity(n + 1);
     for c in 0..n {
         let w_min = (0..n - c)
             .map(|i| times[i + c] - times[i])
@@ -52,21 +56,7 @@ pub fn arrival_envelope_into(times: &[Time], out: &mut Curve) {
             _ => segs.push(Segment::new(w_min, count, 0)),
         }
     }
-    out.finish_write();
-}
-
-/// The minimal sliding-window arrival envelope of a sorted trace:
-/// `α(Δ) = max_t #{ i : t ≤ times[i] ≤ t + Δ }`, returned as a staircase
-/// curve over window length `Δ` (so `α(0)` is the largest simultaneous
-/// burst).
-///
-/// `O(n²)` over the trace length — envelopes are extracted once per trace,
-/// not in analysis inner loops.
-#[must_use]
-pub fn arrival_envelope(times: &[Time]) -> Curve {
-    let mut out = Curve::zero();
-    arrival_envelope_into(times, &mut out);
-    out
+    Curve::from_pushed(segs)
 }
 
 /// Check that `envelope` dominates every window of the trace:

@@ -11,14 +11,14 @@ use crate::util::{div_ceil, div_floor};
 use crate::{Curve, CurveError, Segment, Time};
 
 impl Curve {
-    /// [`Curve::floor_div`] writing into a caller-provided curve, reusing
-    /// its segment buffer. On error `out` is left untouched.
-    pub fn floor_div_into(
-        &self,
-        tau: i64,
-        horizon: Time,
-        out: &mut Curve,
-    ) -> Result<(), CurveError> {
+    /// Compute `t ↦ ⌊self(t)/τ⌋` on `[0, horizon]` as a counting curve.
+    ///
+    /// `self` must be nondecreasing and nonnegative at 0 (a service
+    /// function); `τ ≥ 1`. Beyond `horizon` the result is frozen at its
+    /// horizon value (departures past the analysis horizon are not
+    /// enumerated — callers treat instances outside the horizon as
+    /// unresolved).
+    pub fn floor_div(&self, tau: i64, horizon: Time) -> Result<Curve, CurveError> {
         assert!(tau >= 1, "execution time must be at least one tick");
         self.require_nondecreasing()?;
         let v0 = self.segments()[0].value;
@@ -27,11 +27,11 @@ impl Curve {
         }
 
         let segs = self.segments();
-        let out_segs = out.begin_write(segs.len() + 4);
+        let mut out_segs = Vec::with_capacity(segs.len() + 4);
         let mut count = div_floor(v0, tau);
         // The counting values are strictly increasing, so direct pushes
         // produce the same normalized staircase `step_from_points` would.
-        push_normalized(out_segs, Segment::new(Time::ZERO, count, 0));
+        push_normalized(&mut out_segs, Segment::new(Time::ZERO, count, 0));
         for (i, s) in segs.iter().enumerate() {
             if s.start > horizon {
                 break;
@@ -39,7 +39,7 @@ impl Curve {
             // Count at the piece start (captures jumps at breakpoints).
             let c0 = div_floor(s.value, tau);
             if c0 > count {
-                push_normalized(out_segs, Segment::new(s.start, c0, 0));
+                push_normalized(&mut out_segs, Segment::new(s.start, c0, 0));
                 count = c0;
             }
             if s.slope > 0 {
@@ -61,26 +61,12 @@ impl Curve {
                     // slope exceeds τ.
                     let c = div_floor(s.eval(t), tau);
                     debug_assert!(c > count);
-                    push_normalized(out_segs, Segment::new(t, c, 0));
+                    push_normalized(&mut out_segs, Segment::new(t, c, 0));
                     count = c;
                 }
             }
         }
-        out.finish_write();
-        Ok(())
-    }
-
-    /// Compute `t ↦ ⌊self(t)/τ⌋` on `[0, horizon]` as a counting curve.
-    ///
-    /// `self` must be nondecreasing and nonnegative at 0 (a service
-    /// function); `τ ≥ 1`. Beyond `horizon` the result is frozen at its
-    /// horizon value (departures past the analysis horizon are not
-    /// enumerated — callers treat instances outside the horizon as
-    /// unresolved).
-    pub fn floor_div(&self, tau: i64, horizon: Time) -> Result<Curve, CurveError> {
-        let mut out = Curve::zero();
-        self.floor_div_into(tau, horizon, &mut out)?;
-        Ok(out)
+        Ok(Curve::from_pushed(out_segs))
     }
 }
 

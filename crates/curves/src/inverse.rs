@@ -66,15 +66,6 @@ impl Curve {
     /// expanded into an exact staircase (one step per time tick of the
     /// piece). Negative slopes are rejected.
     pub fn inverse_curve(&self) -> Result<Curve, CurveError> {
-        let mut out = Curve::zero();
-        self.inverse_curve_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`Curve::inverse_curve`] writing into a caller-provided curve,
-    /// reusing its segment buffer. On error `out` is left untouched (all
-    /// validation runs before the sweep starts writing).
-    pub fn inverse_curve_into(&self, out: &mut Curve) -> Result<(), CurveError> {
         self.require_nondecreasing()?;
         let segs = self.segments();
         if segs[0].value < 0 {
@@ -92,11 +83,11 @@ impl Curve {
             }
         }
 
-        let out_segs = out.begin_write(segs.len() + 2);
+        let mut out_segs = Vec::with_capacity(segs.len() + 2);
         // `covered` = the largest y for which the inverse has been emitted;
         // the inverse for y ≤ g(0) is 0.
         let v0 = segs[0].value;
-        push_normalized(out_segs, Segment::new(Time::ZERO, 0, 0));
+        push_normalized(&mut out_segs, Segment::new(Time::ZERO, 0, 0));
         let mut covered = v0;
         for (i, s) in segs.iter().enumerate() {
             let seg_end = segs.get(i + 1).map(|n| n.start);
@@ -108,7 +99,7 @@ impl Curve {
                         // Jump at s.start: all y in (covered, s.value] first
                         // reached at s.start.
                         push_normalized(
-                            out_segs,
+                            &mut out_segs,
                             Segment::new(Time(covered + 1), s.start.ticks(), 0),
                         );
                         covered = s.value;
@@ -117,7 +108,7 @@ impl Curve {
                 1 => {
                     if s.value > covered {
                         push_normalized(
-                            out_segs,
+                            &mut out_segs,
                             Segment::new(Time(covered + 1), s.start.ticks(), 0),
                         );
                         covered = s.value;
@@ -130,7 +121,7 @@ impl Curve {
                             // Unbounded rising tail: inverse continues forever.
                             if covered < i64::MAX {
                                 push_normalized(
-                                    out_segs,
+                                    &mut out_segs,
                                     Segment::new(
                                         Time(covered + 1),
                                         s.start.ticks() + (covered + 1 - s.value),
@@ -143,7 +134,7 @@ impl Curve {
                     };
                     if top > covered {
                         push_normalized(
-                            out_segs,
+                            &mut out_segs,
                             Segment::new(
                                 Time(covered + 1),
                                 s.start.ticks() + (covered + 1 - s.value),
@@ -157,7 +148,7 @@ impl Curve {
                     debug_assert!(k >= 2);
                     if s.value > covered {
                         push_normalized(
-                            out_segs,
+                            &mut out_segs,
                             Segment::new(Time(covered + 1), s.start.ticks(), 0),
                         );
                         covered = s.value;
@@ -169,7 +160,7 @@ impl Curve {
                         let top = s.value + k * d;
                         if top > covered {
                             push_normalized(
-                                out_segs,
+                                &mut out_segs,
                                 Segment::new(Time(covered + 1), s.start.ticks() + d, 0),
                             );
                             covered = top;
@@ -178,8 +169,7 @@ impl Curve {
                 }
             }
         }
-        out.finish_write();
-        Ok(())
+        Ok(Curve::from_pushed(out_segs))
     }
 }
 

@@ -17,7 +17,7 @@
 //! * event-counting helpers for arrival functions ([`counting`]),
 //! * min-plus convolution and network-calculus bound curves
 //!   ([`convolution`], [`bounds`]),
-//! * structural-hash interning with memoized operators ([`intern`]).
+//! * structural-hash interning ([`intern`]).
 //!
 //! ## Exactness model: the tick lattice
 //!
@@ -72,7 +72,7 @@ pub mod soa;
 mod time;
 mod util;
 
-pub use arena::{CurveArenaBuf, Scratch};
+pub use arena::Scratch;
 pub use cursor::CurveCursor;
 pub use curve::Curve;
 pub use intern::{CurveArena, CurveId};

@@ -42,12 +42,13 @@ fn zip_pieces<'a>(
     })
 }
 
-/// The pointwise linear combination `ca·a + cb·b`, written into `out`.
-pub fn linear_combine_into(a: &Curve, ca: i64, b: &Curve, cb: i64, out: &mut Curve) {
-    let segs = out.begin_write(a.num_segments() + b.num_segments());
+/// The pointwise linear combination `ca·a + cb·b`.
+#[must_use]
+pub fn linear_combine(a: &Curve, ca: i64, b: &Curve, cb: i64) -> Curve {
+    let mut segs = Vec::with_capacity(a.num_segments() + b.num_segments());
     for (t, _next, sa, sb) in zip_pieces(a.segments(), b.segments()) {
         push_normalized(
-            segs,
+            &mut segs,
             Segment::new(
                 t,
                 ca * sa.eval(t) + cb * sb.eval(t),
@@ -55,15 +56,7 @@ pub fn linear_combine_into(a: &Curve, ca: i64, b: &Curve, cb: i64, out: &mut Cur
             ),
         );
     }
-    out.finish_write();
-}
-
-/// The pointwise linear combination `ca·a + cb·b`.
-#[must_use]
-pub fn linear_combine(a: &Curve, ca: i64, b: &Curve, cb: i64) -> Curve {
-    let mut out = Curve::zero();
-    linear_combine_into(a, ca, b, cb, &mut out);
-    out
+    Curve::from_pushed(segs)
 }
 
 /// Shared min/max kernel. With `max = false` this is the lattice-exact
@@ -71,9 +64,9 @@ pub fn linear_combine(a: &Curve, ca: i64, b: &Curve, cb: i64) -> Curve {
 /// which computes `−min(−a, −b)` without materializing either negation —
 /// the crossing offsets and tie-breaks come out identical because
 /// `div_floor` sees the same (negated-twice) operands.
-fn pointwise_extremum_into(sa: &[Segment], sb: &[Segment], max: bool, out: &mut Curve) {
+fn pointwise_extremum(sa: &[Segment], sb: &[Segment], max: bool) -> Curve {
     let sign: i64 = if max { -1 } else { 1 };
-    let segs = out.begin_write(2 * (sa.len() + sb.len()));
+    let mut segs = Vec::with_capacity(2 * (sa.len() + sb.len()));
     for (t0, next, pa, pb) in zip_pieces(sa, sb) {
         let e0 = sign * (pa.eval(t0) - pb.eval(t0)); // ±(a − b) at interval start
         let es = sign * (pa.slope - pb.slope);
@@ -83,7 +76,7 @@ fn pointwise_extremum_into(sa: &[Segment], sb: &[Segment], max: bool, out: &mut 
         } else {
             (pb, pa, false)
         };
-        push_normalized(segs, Segment::new(t0, first.eval(t0), first.slope));
+        push_normalized(&mut segs, Segment::new(t0, first.eval(t0), first.slope));
         // Does the sign of e = ±(a − b) flip inside this interval?
         let cross_off = if take_a && es > 0 {
             // first integer offset with e0 + es·off > 0
@@ -98,54 +91,30 @@ fn pointwise_extremum_into(sa: &[Segment], sb: &[Segment], max: bool, out: &mut 
             debug_assert!(off >= 1);
             let tc = t0 + Time(off);
             if next.is_none_or(|t1| tc < t1) {
-                push_normalized(segs, Segment::new(tc, second.eval(tc), second.slope));
+                push_normalized(&mut segs, Segment::new(tc, second.eval(tc), second.slope));
             }
         }
     }
-    out.finish_write();
-}
-
-/// Pointwise minimum written into `out`, exact at every integer tick.
-pub fn pointwise_min_into(a: &Curve, b: &Curve, out: &mut Curve) {
-    pointwise_extremum_into(a.segments(), b.segments(), false, out);
-}
-
-/// Pointwise maximum written into `out`, exact at every integer tick.
-pub fn pointwise_max_into(a: &Curve, b: &Curve, out: &mut Curve) {
-    pointwise_extremum_into(a.segments(), b.segments(), true, out);
+    Curve::from_pushed(segs)
 }
 
 /// Pointwise minimum, exact at every integer tick.
 #[must_use]
 pub fn pointwise_min(a: &Curve, b: &Curve) -> Curve {
-    let mut out = Curve::zero();
-    pointwise_min_into(a, b, &mut out);
-    out
+    pointwise_extremum(a.segments(), b.segments(), false)
 }
 
 /// Pointwise maximum, exact at every integer tick.
 #[must_use]
 pub fn pointwise_max(a: &Curve, b: &Curve) -> Curve {
-    let mut out = Curve::zero();
-    pointwise_max_into(a, b, &mut out);
-    out
+    pointwise_extremum(a.segments(), b.segments(), true)
 }
 
 impl Curve {
-    /// Pointwise sum `self + rhs`, written into `out`.
-    pub fn add_into(&self, rhs: &Curve, out: &mut Curve) {
-        linear_combine_into(self, 1, rhs, 1, out);
-    }
-
     /// Pointwise sum `self + rhs`.
     #[must_use]
     pub fn add(&self, rhs: &Curve) -> Curve {
         linear_combine(self, 1, rhs, 1)
-    }
-
-    /// Pointwise difference `self − rhs`, written into `out`.
-    pub fn sub_into(&self, rhs: &Curve, out: &mut Curve) {
-        linear_combine_into(self, 1, rhs, -1, out);
     }
 
     /// Pointwise difference `self − rhs`.
@@ -154,61 +123,33 @@ impl Curve {
         linear_combine(self, 1, rhs, -1)
     }
 
-    /// Pointwise negation written into `out`.
-    pub fn neg_into(&self, out: &mut Curve) {
-        let segs = out.begin_write(self.num_segments());
+    /// Rewrite every segment's `(value, slope)` pair, keeping the starts.
+    fn map_pieces(&self, f: impl Fn(i64, i64) -> (i64, i64)) -> Curve {
+        let mut segs = Vec::with_capacity(self.num_segments());
         for s in self.segments() {
-            push_normalized(segs, Segment::new(s.start, -s.value, -s.slope));
+            let (value, slope) = f(s.value, s.slope);
+            push_normalized(&mut segs, Segment::new(s.start, value, slope));
         }
-        out.finish_write();
+        Curve::from_pushed(segs)
     }
 
     /// Pointwise negation.
     #[must_use]
     pub fn neg(&self) -> Curve {
-        let mut out = Curve::zero();
-        self.neg_into(&mut out);
-        out
-    }
-
-    /// Pointwise scaling `k·self`, written into `out`.
-    pub fn scale_into(&self, k: i64, out: &mut Curve) {
-        let segs = out.begin_write(self.num_segments());
-        for s in self.segments() {
-            push_normalized(segs, Segment::new(s.start, k * s.value, k * s.slope));
-        }
-        out.finish_write();
+        self.map_pieces(|v, m| (-v, -m))
     }
 
     /// Pointwise scaling `k·self` — e.g. the workload function
     /// `c(t) = f_arr(t) · τ` of Definition 3.
     #[must_use]
     pub fn scale(&self, k: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.scale_into(k, &mut out);
-        out
-    }
-
-    /// Pointwise constant offset `self + v`, written into `out`.
-    pub fn add_const_into(&self, v: i64, out: &mut Curve) {
-        let segs = out.begin_write(self.num_segments());
-        for s in self.segments() {
-            push_normalized(segs, Segment::new(s.start, s.value + v, s.slope));
-        }
-        out.finish_write();
+        self.map_pieces(|v, m| (k * v, k * m))
     }
 
     /// Pointwise constant offset `self + v`.
     #[must_use]
     pub fn add_const(&self, v: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.add_const_into(v, &mut out);
-        out
-    }
-
-    /// Pointwise minimum with another curve, written into `out`.
-    pub fn min_with_into(&self, rhs: &Curve, out: &mut Curve) {
-        pointwise_min_into(self, rhs, out);
+        self.map_pieces(|value, m| (value + v, m))
     }
 
     /// Pointwise minimum with another curve.
@@ -217,46 +158,24 @@ impl Curve {
         pointwise_min(self, rhs)
     }
 
-    /// Pointwise maximum with another curve, written into `out`.
-    pub fn max_with_into(&self, rhs: &Curve, out: &mut Curve) {
-        pointwise_max_into(self, rhs, out);
-    }
-
     /// Pointwise maximum with another curve.
     #[must_use]
     pub fn max_with(&self, rhs: &Curve) -> Curve {
         pointwise_max(self, rhs)
     }
 
-    /// Clamp below written into `out` — allocation-free: the constant
-    /// operand is a stack segment, never a heap curve.
-    pub fn clamp_min_into(&self, v: i64, out: &mut Curve) {
-        let constant = [Segment::new(Time::ZERO, v, 0)];
-        pointwise_extremum_into(self.segments(), &constant, true, out);
-    }
-
     /// Clamp below: `max(self, v)` — e.g. forcing a service lower bound to be
-    /// nonnegative.
+    /// nonnegative. The constant operand is a stack segment, never a heap
+    /// curve.
     #[must_use]
     pub fn clamp_min(&self, v: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.clamp_min_into(v, &mut out);
-        out
-    }
-
-    /// Clamp above written into `out` — allocation-free like
-    /// [`Curve::clamp_min_into`].
-    pub fn clamp_max_into(&self, v: i64, out: &mut Curve) {
-        let constant = [Segment::new(Time::ZERO, v, 0)];
-        pointwise_extremum_into(self.segments(), &constant, false, out);
+        pointwise_extremum(self.segments(), &[Segment::new(Time::ZERO, v, 0)], true)
     }
 
     /// Clamp above: `min(self, v)`.
     #[must_use]
     pub fn clamp_max(&self, v: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.clamp_max_into(v, &mut out);
-        out
+        pointwise_extremum(self.segments(), &[Segment::new(Time::ZERO, v, 0)], false)
     }
 }
 

@@ -19,10 +19,10 @@ impl Curve {
     /// sign-folded domain (`max = true` negates every sample on read and
     /// every output on write), which is exactly `−running_min(−f)` without
     /// materializing either negation.
-    fn running_extremum_into(&self, max: bool, out: &mut Curve) {
+    fn running_extremum(&self, max: bool) -> Curve {
         let sign: i64 = if max { -1 } else { 1 };
         let segs_in = self.segments();
-        let segs = out.begin_write(2 * segs_in.len());
+        let mut segs = Vec::with_capacity(2 * segs_in.len());
         // Extremum (folded: minimum) over all lattice points strictly
         // before the current segment.
         let mut m = i64::MAX;
@@ -33,20 +33,20 @@ impl Curve {
                 // The piece is (folded) nondecreasing: its lattice minimum
                 // is at its start, so the running min is flat across it.
                 let new_m = m.min(value);
-                push_normalized(segs, Segment::new(s.start, sign * new_m, 0));
+                push_normalized(&mut segs, Segment::new(s.start, sign * new_m, 0));
                 m = new_m;
             } else {
                 // Decreasing piece: the running min eventually follows it.
                 if value <= m {
-                    push_normalized(segs, Segment::new(s.start, s.value, s.slope));
+                    push_normalized(&mut segs, Segment::new(s.start, s.value, s.slope));
                 } else {
-                    push_normalized(segs, Segment::new(s.start, sign * m, 0));
+                    push_normalized(&mut segs, Segment::new(s.start, sign * m, 0));
                     // First integer offset where the line dips below m:
                     // value − |slope|·off < m  ⇔  off > (value − m)/|slope|.
                     let off = div_floor(value - m, -slope) + 1;
                     let tc = s.start + Time(off);
                     if next_start.is_none_or(|t1| tc < t1) {
-                        push_normalized(segs, Segment::new(tc, s.eval(tc), s.slope));
+                        push_normalized(&mut segs, Segment::new(tc, s.eval(tc), s.slope));
                     }
                 }
                 if let Some(t1) = next_start {
@@ -58,33 +58,19 @@ impl Curve {
                 }
             }
         }
-        out.finish_write();
-    }
-
-    /// The running minimum `t ↦ min_{0 ≤ s ≤ t} f(s)`, written into `out`.
-    pub fn running_min_into(&self, out: &mut Curve) {
-        self.running_extremum_into(false, out);
+        Curve::from_pushed(segs)
     }
 
     /// The running minimum `t ↦ min_{0 ≤ s ≤ t} f(s)` over the lattice.
     #[must_use]
     pub fn running_min(&self) -> Curve {
-        let mut out = Curve::zero();
-        self.running_min_into(&mut out);
-        out
-    }
-
-    /// The running maximum `t ↦ max_{0 ≤ s ≤ t} f(s)`, written into `out`.
-    pub fn running_max_into(&self, out: &mut Curve) {
-        self.running_extremum_into(true, out);
+        self.running_extremum(false)
     }
 
     /// The running maximum `t ↦ max_{0 ≤ s ≤ t} f(s)` over the lattice.
     #[must_use]
     pub fn running_max(&self) -> Curve {
-        let mut out = Curve::zero();
-        self.running_max_into(&mut out);
-        out
+        self.running_extremum(true)
     }
 }
 

@@ -19,9 +19,9 @@
 //! [`crate::cursor`], with the *same* crossing-offset formulas
 //! (`div_floor`/`div_ceil`) and the *same* normalization predicate, so the
 //! results are **segment-identical** — not merely value-equal — to the AoS
-//! kernels. The AoS kernels are retained as oracles; the property tests in
-//! `tests/soa_kernels.rs` pin the equivalence over random curves, dirty
-//! output buffers and error paths.
+//! kernels. The allocating AoS kernels are the reference tier; the
+//! property tests in `tests/soa_kernels.rs` pin the equivalence over
+//! random curves, dirty output buffers and error paths.
 //!
 //! Writers emit breakpoints in strictly increasing order and coalesce
 //! line-continuations with the exact predicate of `Curve::normalize`
@@ -133,6 +133,40 @@ impl SoaCurve {
             self.values.push(s.value);
             self.slopes.push(s.slope);
         }
+    }
+
+    /// Overwrite with the counting curve of a sorted sequence of event
+    /// times, `f(t) = #{ i : times[i] ≤ t }`, reusing the arrays — the SoA
+    /// port of [`Curve::from_event_times`] (same panics on unsorted or
+    /// negative times).
+    pub fn from_event_times_into(times: &[Time], out: &mut SoaCurve) {
+        out.begin(times.len() + 1);
+        out.starts.push(0);
+        out.values.push(0);
+        out.slopes.push(0);
+        let mut count: i64 = 0;
+        let mut i = 0;
+        while i < times.len() {
+            let t = times[i];
+            assert!(t >= Time::ZERO, "event times must be nonnegative");
+            if i > 0 {
+                assert!(times[i - 1] <= t, "event times must be sorted");
+            }
+            let mut j = i;
+            while j < times.len() && times[j] == t {
+                j += 1;
+            }
+            count += (j - i) as i64;
+            if t == Time::ZERO {
+                out.values[0] = count;
+            } else {
+                out.starts.push(t.ticks());
+                out.values.push(count);
+                out.slopes.push(0);
+            }
+            i = j;
+        }
+        out.finish();
     }
 
     /// Convert back to an AoS [`Curve`], allocating.
@@ -340,7 +374,7 @@ impl SoaCurve {
     }
 
     /// Horizontal shift right by `d ≥ 0` ticks, filling `[0, d)` with
-    /// `fill` — the SoA port of [`Curve::shift_right_into`].
+    /// `fill` — the SoA port of [`Curve::shift_right`].
     pub fn shift_right_into(&self, d: Time, fill: i64, out: &mut SoaCurve) {
         assert!(d >= Time::ZERO, "shift_right requires d >= 0");
         if d == Time::ZERO {
@@ -368,7 +402,7 @@ impl SoaCurve {
     }
 
     /// Replace the prefix `[0, t0)` with the constant `fill` — the SoA
-    /// port of [`Curve::mask_before_into`].
+    /// port of [`Curve::mask_before`].
     pub fn mask_before_into(&self, t0: Time, fill: i64, out: &mut SoaCurve) {
         if t0 <= Time::ZERO {
             out.copy_from(self);
@@ -394,7 +428,7 @@ impl SoaCurve {
     }
 
     /// Shared prefix-extremum kernel — the SoA port of
-    /// `Curve::running_extremum_into` (same sign folding, same crossing
+    /// `Curve::running_extremum` (same sign folding, same crossing
     /// offsets).
     fn running_extremum_into(&self, max: bool, out: &mut SoaCurve) {
         let sign: i64 = if max { -1 } else { 1 };
@@ -463,7 +497,7 @@ impl SoaCurve {
     }
 
     /// Compute `t ↦ ⌊self(t)/τ⌋` on `[0, horizon]` as a counting curve —
-    /// the SoA port of [`Curve::floor_div_into`]. On error `out` is left
+    /// the SoA port of [`Curve::floor_div`]. On error `out` is left
     /// untouched.
     pub fn floor_div_into(
         &self,
@@ -636,7 +670,7 @@ impl<'a> SoaWriter<'a> {
 }
 
 /// The pointwise linear combination `ca·a + cb·b`, written into `out` —
-/// the SoA port of [`crate::ops::linear_combine_into`]. The merge keeps
+/// the SoA port of [`crate::ops::linear_combine`]. The merge keeps
 /// both operands' active piece scalars in locals (loaded once per head
 /// advance, with `i64::MAX` sentinels standing in for "no next
 /// breakpoint", so the hot loop is `Option`-free), and writes by index
@@ -822,7 +856,7 @@ pub fn sum_many_into(curves: &[&SoaCurve], out: &mut SoaCurve) {
     out.finish();
 }
 
-/// Shared min/max kernel — the SoA port of `ops::pointwise_extremum_into`
+/// Shared min/max kernel — the SoA port of `ops::pointwise_extremum`
 /// (same sign folding, same `div_floor` crossing offsets, same tie-breaks).
 /// Uses the same indexed-write scheme as [`linear_combine_into`]: pre-sized
 /// columns, sentinel-merged heads in registers, and the `Curve::normalize`
@@ -1071,7 +1105,7 @@ pub fn pointwise_max_into(a: &SoaCurve, b: &SoaCurve, out: &mut SoaCurve) {
 }
 
 /// Min-plus convolution for **convex** nondecreasing curves, written into
-/// `out` — the SoA port of [`crate::convolution::convolve_convex_into`].
+/// `out` — the SoA port of [`crate::convolution::convolve_convex`].
 /// The `(length, slope)` piece staging lives in `scratch`, so a warm call
 /// allocates nothing.
 pub fn convolve_convex_into(f: &SoaCurve, g: &SoaCurve, scratch: &mut Scratch, out: &mut SoaCurve) {

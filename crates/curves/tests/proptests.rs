@@ -271,3 +271,60 @@ proptest! {
         }
     }
 }
+
+/// Degenerate inputs the strategies cannot hit deterministically (the zero
+/// curve, constants, empty traces, a bounded slope-2 piece) and the error
+/// paths of the fallible kernels.
+#[test]
+fn degenerate_and_error_inputs() {
+    use rta_curves::convolution::convolve;
+    use rta_curves::envelope::arrival_envelope;
+    use rta_curves::CurveError;
+
+    let zero = Curve::zero();
+    let konst = Curve::constant(-4);
+    assert_eq!(
+        zero.shift_right(Time(5), 3),
+        Curve::step_from_points(3, &[(Time(5), 0)])
+    );
+    assert_eq!(zero.add(&konst), konst);
+    assert_eq!(konst.running_min(), konst);
+    assert_eq!(zero.floor_div(3, Time(20)).unwrap(), zero);
+    assert_eq!(zero.inverse_curve().unwrap(), zero);
+    assert_eq!(arrival_envelope(&[]), zero);
+    assert_eq!(convolve(&zero, &zero, Time(10)), zero);
+
+    // Slope ≥ 2 on a bounded piece: the staircase expansion.
+    let stair = Curve::from_segments(vec![
+        Segment::new(Time(0), 0, 2),
+        Segment::new(Time(4), 8, 1),
+    ]);
+    let inv = stair.inverse_curve().unwrap();
+    for y in 0..=12 {
+        assert_eq!(Some(Time(inv.eval(Time(y)))), stair.inverse_at(y), "y={y}");
+    }
+
+    let decreasing = Curve::affine(3, -1);
+    let negative = Curve::affine(-2, 1);
+    let unbounded_steep = Curve::affine(0, 3);
+    assert!(matches!(
+        decreasing.floor_div(2, Time(20)),
+        Err(CurveError::NotMonotone { .. })
+    ));
+    assert_eq!(
+        negative.floor_div(2, Time(20)),
+        Err(CurveError::NegativeAtZero { value: -2 })
+    );
+    assert!(matches!(
+        decreasing.inverse_curve(),
+        Err(CurveError::NotMonotone { .. })
+    ));
+    assert_eq!(
+        negative.inverse_curve(),
+        Err(CurveError::NegativeAtZero { value: -2 })
+    );
+    assert_eq!(
+        unbounded_steep.inverse_curve(),
+        Err(CurveError::UnsupportedSlope { slope: 3 })
+    );
+}

@@ -3,15 +3,14 @@
 //! including degenerate single-segment and zero curves and previously-dirty
 //! output buffers — converting to [`SoaCurve`], running the SoA kernel and
 //! converting back must equal the AoS result *exactly* (`Curve` is `Eq`,
-//! so equality is segment-for-segment). The AoS kernels are the oracles;
-//! `tests/into_kernels.rs` pins them to the allocating reference in turn.
-//! Every test pre-dirties its SoA outputs and reuses them across kernels,
-//! which is precisely how the arena-backed workspaces drive them.
+//! so equality is segment-for-segment). The allocating AoS kernels are the
+//! oracles. Every test pre-dirties its SoA outputs and reuses them across
+//! kernels, which is precisely how the arena-backed workspaces drive them.
 
 use proptest::prelude::*;
 use rta_curves::arena::Scratch;
 use rta_curves::convolution::{
-    convolve_decomposed_into, convolve_decomposed_reference, min_plus_convolve_lattice,
+    convolve_decomposed, convolve_decomposed_reference, min_plus_convolve_lattice,
 };
 use rta_curves::ops::{linear_combine, pointwise_max, pointwise_min};
 use rta_curves::soa::{
@@ -293,9 +292,7 @@ proptest! {
         // The SoA-backed decomposition is free to fold partials in any
         // order, so its normalized segment structure may differ from the
         // reference; the contract is value identity at every lattice tick.
-        let mut scratch = Scratch::new();
-        let mut out = dirt();
-        convolve_decomposed_into(&f, &g, Time(h), &mut scratch, &mut out);
+        let out = convolve_decomposed(&f, &g, Time(h));
         let reference = convolve_decomposed_reference(&f, &g, Time(h));
         for t in 0..=h {
             prop_assert_eq!(out.eval(Time(t)), reference.eval(Time(t)), "t = {}", t);
@@ -335,13 +332,12 @@ fn degenerate_inputs_match_aos() {
     assert_eq!(SoaCurve::zero().to_curve(), Curve::zero());
 }
 
-/// One `Scratch` and a pair of SoA outputs driven through many dissimilar
-/// inputs in sequence — the arena-reuse pattern of the analysis workspaces.
-/// Buffer capacity carried over from a large input must never leak into the
+/// A pair of SoA outputs driven through many dissimilar inputs in
+/// sequence — the buffer-reuse pattern of the analysis workspaces. Buffer
+/// capacity carried over from a large input must never leak into the
 /// result of a small one.
 #[test]
 fn shared_buffers_survive_reuse() {
-    let mut scratch = Scratch::new();
     let mut out = SoaCurve::zero();
     let mut staging = SoaCurve::zero();
     let mut inputs: Vec<Curve> = Vec::new();
@@ -372,8 +368,7 @@ fn shared_buffers_survive_reuse() {
             f.floor_div(1 + (i as i64 % 5), Time(30)).unwrap(),
             "floor_div #{i}"
         );
-        let mut conv = dirt();
-        convolve_decomposed_into(f, g, Time(30), &mut scratch, &mut conv);
+        let conv = convolve_decomposed(f, g, Time(30));
         let reference = convolve_decomposed_reference(f, g, Time(30));
         for t in 0..=30 {
             assert_eq!(
@@ -383,4 +378,51 @@ fn shared_buffers_survive_reuse() {
             );
         }
     }
+}
+
+proptest! {
+    /// The fixpoint and bounds drivers build every first-hop envelope with
+    /// `from_event_times_into` into a workspace slot that held another
+    /// curve; the result must be the AoS counting curve, segment for
+    /// segment, whatever the slot held before.
+    #[test]
+    fn event_times_ingest_matches_aos(times in prop::collection::vec(0i64..40, 0..12),
+                                      prev in prop::collection::vec(0i64..60, 0..20)) {
+        let sorted = |v: Vec<i64>| {
+            let mut ts: Vec<Time> = v.into_iter().map(Time).collect();
+            ts.sort();
+            ts
+        };
+        let (ts, prev) = (sorted(times), sorted(prev));
+        let mut out = soa_dirt();
+        SoaCurve::from_event_times_into(&ts, &mut out);
+        prop_assert_eq!(&back(&out), &Curve::from_event_times(&ts));
+        // A buffer last written by another trace (longer or shorter).
+        SoaCurve::from_event_times_into(&prev, &mut out);
+        SoaCurve::from_event_times_into(&ts, &mut out);
+        prop_assert_eq!(&back(&out), &Curve::from_event_times(&ts));
+    }
+}
+
+/// The event-list corners: no events, a burst at zero (which rewrites the
+/// initial entry), and duplicates after zero.
+#[test]
+fn event_times_ingest_degenerate_inputs() {
+    let mut out = soa_dirt();
+    for ts in [
+        vec![],
+        vec![Time(0)],
+        vec![Time(0), Time(0), Time(0)],
+        vec![Time(0), Time(5), Time(5), Time(9)],
+        vec![Time(3), Time(3)],
+    ] {
+        SoaCurve::from_event_times_into(&ts, &mut out);
+        assert_eq!(back(&out), Curve::from_event_times(&ts), "{ts:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "sorted")]
+fn event_times_ingest_rejects_unsorted() {
+    SoaCurve::from_event_times_into(&[Time(5), Time(2)], &mut SoaCurve::zero());
 }

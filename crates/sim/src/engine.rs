@@ -21,8 +21,8 @@
 //! ## Ordering
 //!
 //! Each instant drains in the classic three-phase order the retired loop
-//! used (and `tests/oracle.rs` pins event for event against
-//! [`crate::legacy`]): completions in processor order, then releases in
+//! used (and `tests/oracle.rs` pins event for event against that loop,
+//! kept with the tests): completions in processor order, then releases in
 //! release-sequence order, then one preemption/dispatch check per
 //! processor whose state changed. Two facts make the flat structures
 //! equivalent to a totally-ordered event queue:

@@ -48,9 +48,6 @@ mod result;
 pub mod batch;
 pub mod wcdfp;
 
-#[doc(hidden)]
-pub mod legacy;
-
 pub use engine::{simulate, SimConfig, SimEngine};
 #[cfg(feature = "trace")]
 pub use result::HopRecord;

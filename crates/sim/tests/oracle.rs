@@ -2,8 +2,8 @@
 //!
 //! The calendar-queue event core replaced a three-phase timestep loop that
 //! the agreement suite had validated against the ICPP'98 theorems. That
-//! loop is kept (as `rta_sim::legacy`) purely so these tests can pin the
-//! new core **event for event** against it: same seeds, same tie-break
+//! loop is kept (as the `legacy` module in `tests/oracle/`) purely so these
+//! tests can pin the new core **event for event** against it: same seeds, same tie-break
 //! order, bit-identical [`rta_sim::SimResult`] — releases, every per-hop
 //! completion time, and (under the `trace` feature, via full-struct
 //! `PartialEq`) every serving interval and hop record.
@@ -13,13 +13,16 @@
 //! plus hand-built mixed-scheduler systems exercising cross-processor
 //! chains and simultaneous releases.
 
+#[path = "oracle/legacy.rs"]
+mod legacy;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rta_curves::Time;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
-use rta_sim::{legacy, simulate, SimConfig};
+use rta_sim::{simulate, SimConfig};
 
 const KINDS: [SchedulerKind; 4] = [
     SchedulerKind::Spp,

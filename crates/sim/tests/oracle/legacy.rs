@@ -1,19 +1,16 @@
 //! The retired three-phase simulation loop, kept verbatim as the oracle
 //! for the indexed event core.
 //!
-//! `tests/oracle.rs` pins [`crate::simulate`] to this implementation —
+//! `tests/oracle.rs` pins [`rta_sim::simulate`] to this implementation —
 //! same seeds, same tie-break order, identical [`SimResult`]s — across
-//! every registered policy. The loop is excluded from the public API and
-//! the docs; it exists only so the pinning test keeps running.
+//! every registered policy. It builds on the crate's public API only.
 
-use crate::result::SimResult;
 use rta_core::policy::{policy_for, ReadyInstance, ReadySet, SimScheduler};
 use rta_curves::Time;
 use rta_model::{JobId, ProcessorId, SubjobRef, TaskSystem};
+use rta_sim::{SimConfig, SimResult};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-use crate::engine::SimConfig;
 
 /// A live instance working through its chain.
 #[derive(Clone, Debug)]
@@ -168,7 +165,7 @@ pub fn simulate(sys: &TaskSystem, cfg: &SimConfig) -> SimResult {
                 if at < t {
                     out.service_intervals.entry(r).or_default().push((at, t));
                 }
-                out.hop_records.push(crate::result::HopRecord {
+                out.hop_records.push(rta_sim::HopRecord {
                     job: inst.job,
                     m: inst.m as u32,
                     hop: inst.hop as u32,
